@@ -410,15 +410,25 @@ _CAP_AWARE = {"exhaustive-oracle-small", "exhaustive-oracle-full"}
 
 
 def run_suite(level: str = "quick", cap: int | None = None) -> list[CheckResult]:
-    """Run the named level's checks; cap limits exhaustive enumerations."""
+    """Run the named level's checks; cap limits exhaustive enumerations.
+
+    A check that raises fails with the exception's type and message as
+    its detail; only an over-cap enumeration propagates, as a refusal.
+    """
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
     suite = QUICK_CHECKS if level == "quick" else FULL_CHECKS
     results = []
     for name, fn in suite:
-        if cap is not None and name in _CAP_AWARE:
-            passed, detail = fn(cap=cap)
-        else:
-            passed, detail = fn()
+        try:
+            if cap is not None and name in _CAP_AWARE:
+                passed, detail = fn(cap=cap)
+            else:
+                passed, detail = fn()
+        except simulate.EnumerationCapError:
+            raise
+        except Exception as exc:
+            # a check that raises is a failed check, reported like the rest
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         results.append(CheckResult(name=name, passed=passed, detail=detail))
     return results

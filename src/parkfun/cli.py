@@ -94,23 +94,28 @@ def cmd_table(args) -> int:
           file=sys.stderr)
     lines = ["n " + " ".join(f"k={k}" for k in range(args.n))]
     for n in range(1, args.n + 1):
-        vals = (exact.defect_count_explicit(n, n, k) for k in range(n))
+        vals = exact.defect_distribution(n, n).counts[:n]
         lines.append(f"{n} " + " ".join(str(v) for v in vals))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_dist(args) -> int:
-    dist = exact.defect_distribution(args.n, args.m)
-    total = dist.total
-    ks = range(args.m + 1) if args.k is None else [args.k]
-    rows = []
-    for k in ks:
-        if not 0 <= k <= args.m:
-            raise ValueError(f"k must lie in 0..{args.m}")
-        rows.append({"n": args.n, "m": args.m, "k": k,
-                     "count": str(dist.counts[k]),
-                     "probability": exact.ratio_as_float(dist.counts[k], total)})
+    n, m = args.n, args.m
+    if args.k is None:
+        ks = range(m + 1)
+        counts = exact.defect_distribution(n, m).counts
+    else:
+        # one count takes two Abel point queries, not the whole law
+        exact._check_lot(n, m)
+        if not 0 <= args.k <= m:
+            raise ValueError(f"k must lie in 0..{m}")
+        ks = [args.k]
+        counts = {args.k: exact.defect_count_explicit(n, m, args.k)}
+    total = n ** m
+    rows = [{"n": n, "m": m, "k": k, "count": str(counts[k]),
+             "probability": exact.ratio_as_float(counts[k], total)}
+            for k in ks]
     _write(_emit(_config(args), ["n", "m", "k", "count", "probability"],
                  rows, args.format), args.out)
     return EXIT_OK

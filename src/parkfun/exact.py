@@ -17,30 +17,37 @@ the test suite:
   sequences with *at least* k walkers, so that
   cp(n, m, k) = tail_sum(n, m, k) - tail_sum(n, m, k + 1).
 
+defect_distribution takes every k at once from the Abel route: one
+tail_sum call gives the widest nontrivial tail, and the others come from
+a shared term ladder (_abel_tails) in which each Abel term is its
+neighbour times a small integer, divided exactly by another, so the
+whole law costs about min(m, n)**2 / 2 cheap steps instead of m**2 / 2
+terms with big powers.  tail_sum stays the point query, and
+tail_sum_alternating the independent check.
+
 Counts serialize as decimal strings, never as floats; ratio_as_float is
 the one sanctioned bridge from exact counts to IEEE doubles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-_PASCAL_ROWS: dict[int, tuple[int, ...]] = {}
-
-
 def pascal_row(n: int) -> tuple[int, ...]:
     """Row n of Pascal's triangle, (C(n,0), .., C(n,n)), cached."""
-    row = _PASCAL_ROWS.get(n)
-    if row is None:
-        if n < 0:
-            raise ValueError("binomial row index must be nonnegative")
-        vals = [1]
-        for j in range(1, n + 1):
-            vals.append(vals[-1] * (n - j + 1) // j)
-        row = tuple(vals)
-        _PASCAL_ROWS[n] = row
-    return row
+    if n < 0:
+        raise ValueError("binomial row index must be nonnegative")
+    return _pascal_row(n)
+
+
+@functools.lru_cache(maxsize=512)
+def _pascal_row(n: int) -> tuple[int, ...]:
+    vals = [1]
+    for j in range(1, n + 1):
+        vals.append(vals[-1] * (n - j + 1) // j)
+    return tuple(vals)
 
 
 def _pollak_weight(a: int, i: int) -> int:
@@ -142,6 +149,12 @@ def table_value(r: int, s: int, k: int) -> int:
 def _check_params(n: int, m: int, k: int = 0) -> None:
     if n < 0 or m < 0 or k < 0:
         raise ValueError("n, m, k must be nonnegative")
+
+
+def _check_lot(n: int, m: int) -> None:
+    _check_params(n, m)
+    if n == 0 and m > 0:
+        raise ValueError("no spaces: the parking process is undefined")
 
 
 def defect_count_recurrence(n: int, m: int, k: int) -> int:
@@ -264,16 +277,43 @@ class DefectDistribution:
         return ratio_as_float(sum(self.counts[k:]), self.total)
 
 
+def _abel_tails(n: int, m: int) -> list[int]:
+    """[S(n, m, k) for k = lo + 1 .. m], with lo = max(0, m - n + 1).
+
+    With a = n - m + k and j = m - k - i, the Abel sum of tail_sum reads
+
+        S(n, m, k) = (m - k)**m + a * sum_{i + j = m - k; i, j >= 1} R(i, j),
+        R(i, j) = C(m, i) * (n - j)**(i - 1) * j**(m - i),
+
+    and along each j the next term is one small multiply and one exact
+    small divide, R(i + 1, j) = R(i, j) * (m - i)(n - j) / ((i + 1) j),
+    from R(1, j) = m * j**(m - 1).  Walking every j's chain once fills
+    all the sums together in about min(m, n)**2 / 2 such steps.
+    """
+    lo = max(0, m - n + 1)
+    sums = [0] * (m + 1)
+    for j in range(1, m - lo - 1):
+        r = m * j ** (m - 1)
+        for i in range(1, m - lo - j):
+            sums[m - j - i] += r
+            r = r * ((m - i) * (n - j)) // ((i + 1) * j)
+    return [(m - k) ** m + (n - m + k) * sums[k] for k in range(lo + 1, m + 1)]
+
+
 def defect_distribution(n: int, m: int) -> DefectDistribution:
     """The full defect distribution for (n, m), from the closed forms.
+
+    The widest Abel tail, S(n, m, lo) with lo = max(0, m - n + 1), is the
+    one tail_sum call; the narrower ones come from the shared term ladder
+    of _abel_tails, and every tail below lo is n**m.
 
     n = 0 with drivers present is rejected (there is no parking process
     without spaces); n = m = 0 is the single empty assignment.
     """
-    _check_params(n, m)
-    if n == 0 and m > 0:
-        raise ValueError("no spaces: the parking process is undefined")
-    tails = [tail_sum(n, m, k) for k in range(m + 2)]
+    _check_lot(n, m)
+    lo = max(0, m - n + 1)
+    tails = ([n ** m] * lo + [tail_sum(n, m, lo)]
+             + _abel_tails(n, m) + [0])
     counts = tuple(tails[k] - tails[k + 1] for k in range(m + 1))
     return DefectDistribution(n, m, counts)
 

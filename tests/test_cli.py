@@ -72,6 +72,19 @@ class TestDist:
         _, rows = csv_rows(out)
         assert len(rows) == 1 and rows[0]["count"] == '"23"'
 
+    def test_single_k_row_matches_full_law(self, capsys):
+        _, full, _ = run_cli(capsys, "dist", "--n", "9", "--m", "12")
+        _, rows = csv_rows(full)
+        for k in (0, 3, 12):
+            _, out, _ = run_cli(capsys, "dist", "--n", "9", "--m", "12", "--k", str(k))
+            assert csv_rows(out)[1] == [rows[k]]
+
+    def test_single_k_refusals(self, capsys):
+        code, _, err = run_cli(capsys, "dist", "--n", "4", "--m", "4", "--k", "5")
+        assert code == 2 and "k must lie in 0..4" in err
+        code, _, err = run_cli(capsys, "dist", "--n", "0", "--m", "3", "--k", "1")
+        assert code == 2 and "no spaces" in err
+
     def test_json_roundtrip(self, capsys):
         _, out, _ = run_cli(capsys, "dist", "--n", "5", "--m", "3",
                             "--format", "json")
@@ -219,10 +232,38 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("exc", [ValueError, RuntimeError])
+    def test_raising_check_is_a_failure(self, capsys, monkeypatch, exc):
+        def broken(n, m):
+            raise exc("broken on purpose")
+        monkeypatch.setattr(exact, "parking_function_count", broken)
+        code, out, _ = run_cli(capsys, "verify", "--level", "quick")
+        assert code == 1
+        assert f"FAIL pollak-consistency: {exc.__name__}: broken on purpose" in out
+        assert out.splitlines()[-1].endswith("1 failed")
+
     def test_cap_refusal_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--cap", "10")
         assert code == 3
         assert "cap" in err
+
+
+class TestTailSumTie:
+    """Every exact CLI output passes through exact.tail_sum."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--n", "7", "--m", "9"),
+        ("dist", "--n", "9", "--m", "7"),
+        ("table", "--n", "6"),
+        ("plotdata-fig1", "--n", "20", "--m", "18"),
+    ])
+    def test_off_by_one_tail_sum_changes_output(self, capsys, monkeypatch, argv):
+        _, want, _ = run_cli(capsys, *argv)
+        right = exact.tail_sum
+        # off by one in k: a uniform shift would cancel in every difference
+        monkeypatch.setattr(exact, "tail_sum", lambda n, m, k: right(n, m, k + 1))
+        _, got, _ = run_cli(capsys, *argv)
+        assert got != want
 
 
 class TestPlumbing:

@@ -8,6 +8,8 @@ code with the package.
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -227,6 +229,34 @@ def test_distribution_degenerate_cases():
         exact.defect_distribution(-1, 2)
 
 
+def test_distribution_ladder_matches_tail_sum_differences():
+    # covers m = 0, n = 1, m < n, m = n and m > n
+    for n in range(1, 31):
+        for m in range(41):
+            tails = [exact.tail_sum(n, m, k) for k in range(m + 2)]
+            want = tuple(tails[k] - tails[k + 1] for k in range(m + 1))
+            assert exact.defect_distribution(n, m).counts == want, (n, m)
+
+
+@pytest.mark.parametrize("n,m", [(330, 300), (300, 330), (10 ** 9, 80)])
+def test_distribution_ladder_matches_alternating_form(n, m):
+    counts = exact.defect_distribution(n, m).counts
+    rng = random.Random(f"ladder:{n}:{m}")
+    lo = max(0, m - n)
+    for k in {lo, lo + 1, m} | {rng.randint(lo, m) for _ in range(6)}:
+        want = (exact.tail_sum_alternating(n, m, k)
+                - exact.tail_sum_alternating(n, m, k + 1))
+        assert counts[k] == want, k
+
+
+def test_distribution_budget_at_n_m_1000():
+    t0 = time.perf_counter()
+    counts = exact.defect_distribution(1000, 1000).counts
+    elapsed = time.perf_counter() - t0
+    assert sum(counts) == 1000 ** 1000 and counts[999] == 1
+    assert elapsed < 8.0, f"{elapsed:.1f}s"
+
+
 def test_counts_roundtrip_decimal_strings():
     for count in exact.defect_distribution(10, 10).counts:
         assert int(str(count)) == count and count >= 0
@@ -264,3 +294,5 @@ def test_ratio_as_float_huge_operands():
 def test_pascal_row_matches_math_comb():
     for n in (0, 1, 2, 7, 25):
         assert list(exact.pascal_row(n)) == [math.comb(n, j) for j in range(n + 1)]
+    with pytest.raises(ValueError):
+        exact.pascal_row(-1)
