@@ -73,6 +73,15 @@ class SplitMix64:
                 return u % n + 1
 
 
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """mix64 applied in place to the uint64 array z; t is scratch of z's size."""
+    for shift, mult in ((30, _MIX_A), (27, _MIX_B)):
+        z ^= np.right_shift(z, np.uint64(shift), out=t)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z
+
+
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Raw outputs `start .. start+count-1` of the seed's stream, vectorized.
 
@@ -80,11 +89,42 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     skipping `start` outputs; uint64 arithmetic wraps exactly like the
     scalar mod-2**64 recipe.
     """
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + idx * np.uint64(GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(GAMMA)
+    z += np.uint64(seed & MASK64)
+    return _mix(z, np.empty_like(z))
+
+
+class _Residues:
+    """Uniform draws on 0..n-1 from windows of up to `size` stream words.
+
+    `draws(seed, start, count)` reads words start .. start+count-1 of the
+    seed's stream, the same words `stream_u64` returns, into buffers made
+    once.  A caller that walks streams window by window so reuses the
+    same cache-sized memory instead of faulting in fresh pages for every
+    window.  The result is an int64 view of that buffer, valid until the
+    next call.  It is None if any word in the window would be rejected:
+    the draws then no longer line up with the words, and only a scalar
+    replay from the start of the stream places them.
+    """
+
+    def __init__(self, n: int, size: int):
+        limit = ((1 << 64) // n) * n
+        # limit == 2**64 exactly when n is a power of two: nothing is rejectable.
+        self._limit = np.uint64(limit) if limit <= MASK64 else None
+        self._n = np.uint64(n)
+        self._steps = np.arange(1, size + 1, dtype=np.uint64)
+        self._steps *= np.uint64(GAMMA)
+        self._z = np.empty_like(self._steps)
+        self._t = np.empty_like(self._steps)
+
+    def draws(self, seed: int, start: int, count: int) -> np.ndarray | None:
+        z = self._z[:count]
+        np.add(self._steps[:count], np.uint64((seed + start * GAMMA) & MASK64), out=z)
+        _mix(z, self._t[:count])
+        if self._limit is not None and bool((z >= self._limit).any()):
+            return None
+        return np.remainder(z, self._n, out=z).view(np.int64)
 
 
 def uniform_block(seed: int, n: int, count: int) -> np.ndarray:
@@ -99,11 +139,10 @@ def uniform_block(seed: int, n: int, count: int) -> np.ndarray:
         raise ValueError("uniform_block needs 1 <= n < 2**63 (int64 output)")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    limit = ((1 << 64) // n) * n
-    raw = stream_u64(seed, 0, count)
-    # limit == 2**64 exactly when n is a power of two: nothing is rejectable.
-    if limit <= MASK64 and bool((raw >= np.uint64(limit)).any()):
+    draws = _Residues(n, count).draws(seed, 0, count)
+    if draws is None:
         gen = SplitMix64(seed)
         return np.array([gen.uniform_int(n) for _ in range(count)],
                         dtype=np.int64)
-    return (raw % np.uint64(n) + np.uint64(1)).astype(np.int64)
+    draws += 1
+    return draws

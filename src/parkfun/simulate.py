@@ -14,9 +14,17 @@ space: with c_j drivers choosing space j, the number of walkers is
     max(0, max_{1 <= i <= n} (c_n + c_{n-1} + .. + c_{n+1-i}) - i)
 
 because drivers spill rightward, so the last i spaces must absorb every
-choice in them.  `park` and this suffix-count rule are verified against
-each other in the tests; the vectorized enumeration and sampling paths
-evaluate the rule with numpy.
+choice in them.  Sorted, the same rule reads
+
+    max(0, max_{0 <= j < m} (c_(j) - j) + m - n)
+
+where c_(0) <= .. <= c_(m-1) are the 0-based choices in order: the
+suffix that starts at space c_(j) + 1 holds at least m - j choices in
+n - c_(j) spaces, and the worst suffix starts at a chosen space.  `park`
+and both forms are verified against each other in the tests; the
+vectorized enumeration and sampling paths evaluate the sorted form with
+numpy, in chunks of about CHUNK_WORDS choices so that each chunk stays
+in cache and memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -27,10 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .exact import DefectDistribution
-from .rng import SplitMix64, sub_seed, uniform_block
+from .rng import SplitMix64, _Residues, sub_seed, uniform_block
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
 SAMPLE_BLOCK_TRIALS = 4096
+CHUNK_WORDS = 1 << 16
 
 
 class EnumerationCapError(ValueError):
@@ -125,18 +134,14 @@ def defect_by_suffix_counts(n: int, choices: Sequence[int]) -> int:
     return worst
 
 
-def _defects_of_matrix(n: int, choices: np.ndarray) -> np.ndarray:
-    # choices: (trials, m) int array with values in 1..n.
-    trials, m = choices.shape
+def _defects_in_place(n: int, choices: np.ndarray) -> np.ndarray:
+    # choices: (rows, m) int64 array with values in 0..n-1; sorted in place.
+    rows, m = choices.shape
     if m == 0:
-        return np.zeros(trials, dtype=np.int64)
-    offsets = np.arange(trials, dtype=np.int64)[:, None] * (n + 1)
-    flat = (choices.astype(np.int64) + offsets).ravel()
-    occ = np.bincount(flat, minlength=trials * (n + 1))
-    occ = occ.reshape(trials, n + 1)[:, 1:]
-    suffix = occ[:, ::-1].cumsum(axis=1)
-    over = suffix - np.arange(1, n + 1, dtype=np.int64)
-    return np.maximum(over.max(axis=1), 0)
+        return np.zeros(rows, dtype=np.int64)
+    choices.sort(axis=1)
+    choices -= np.arange(m, dtype=np.int64)
+    return np.maximum(choices.max(axis=1) + (m - n), 0)
 
 
 def enumerate_exhaustive(n: int, m: int,
@@ -159,12 +164,11 @@ def enumerate_exhaustive(n: int, m: int,
         counts[0] = 1
         return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
     divisors = np.array([n ** j for j in range(m - 1, -1, -1)], dtype=np.int64)
-    block = max(1, (1 << 22) // max(m, n + 1))
-    for start in range(0, total, block):
-        idx = np.arange(start, min(start + block, total), dtype=np.int64)
-        choices = (idx[:, None] // divisors[None, :]) % n + 1
-        defects = _defects_of_matrix(n, choices)
-        counts += np.bincount(defects, minlength=m + 1)
+    rows = max(1, CHUNK_WORDS // m)
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
+        choices = (idx[:, None] // divisors[None, :]) % n
+        counts += np.bincount(_defects_in_place(n, choices), minlength=m + 1)
     return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
 
 
@@ -186,27 +190,42 @@ class EmpiricalDistribution:
         return sum(self.counts[k:]) / self.trials
 
 
-def sample_empirical(n: int, m: int, trials: int, seed: int,
-                     block_trials: int = SAMPLE_BLOCK_TRIALS) -> EmpiricalDistribution:
+def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistribution:
     """Defect histogram of `trials` i.i.d. uniform preference sequences.
 
-    Trials are partitioned into blocks of `block_trials`; block b draws
-    its sequences from the stream seeded with sub_seed(seed, b), so the
-    result is reproducible and blocks may be evaluated in any order.
+    Trials are partitioned into blocks of SAMPLE_BLOCK_TRIALS; block b
+    draws its sequences from the stream seeded with sub_seed(seed, b), so
+    the result is reproducible and blocks may be evaluated in any order.
+    Row r of a block holds words r*m .. r*m+m-1 of the block's stream;
+    rows are drawn and scored a chunk of about CHUNK_WORDS words at a
+    time, which changes no draw.
     """
     if n < 1:
         raise ValueError("sampling needs at least one space")
     if m < 0 or trials < 1:
         raise ValueError("need m >= 0 and trials >= 1")
     counts = np.zeros(m + 1, dtype=np.int64)
-    for b, start in enumerate(range(0, trials, block_trials)):
-        t = min(block_trials, trials - start)
-        if m == 0:
-            counts[0] += t
-            continue
-        draws = uniform_block(sub_seed(seed, b), n, t * m).reshape(t, m)
-        defects = _defects_of_matrix(n, draws)
-        counts += np.bincount(defects, minlength=m + 1)
+    if m == 0:
+        counts[0] = trials
+    else:
+        rows = min(trials, SAMPLE_BLOCK_TRIALS, max(1, CHUNK_WORDS // m))
+        residues = _Residues(n, rows * m)
+        for b, start in enumerate(range(0, trials, SAMPLE_BLOCK_TRIALS)):
+            block_seed = sub_seed(seed, b)
+            t = min(SAMPLE_BLOCK_TRIALS, trials - start)
+            hist = np.zeros(m + 1, dtype=np.int64)
+            for row in range(0, t, rows):
+                r = min(rows, t - row)
+                draws = residues.draws(block_seed, row * m, r * m)
+                if draws is None:
+                    # a rejected word shifts every later draw: replay the block
+                    draws = uniform_block(block_seed, n, t * m) - 1
+                    hist = np.bincount(_defects_in_place(n, draws.reshape(t, m)),
+                                       minlength=m + 1)
+                    break
+                hist += np.bincount(_defects_in_place(n, draws.reshape(r, m)),
+                                    minlength=m + 1)
+            counts += hist
     return EmpiricalDistribution(n=n, m=m, trials=trials, seed=seed,
                                  counts=tuple(int(c) for c in counts))
 

@@ -200,6 +200,14 @@ class TestSimulate:
         # defect concentrates on the sqrt(n) scale; the peak sits near sqrt(n)/2
         assert 2 <= mode <= 10
 
+    def test_many_spaces_few_drivers(self, capsys):
+        # n >> m: the sampler's memory must not grow with n
+        code, out, _ = run_cli(capsys, "simulate", "--n", "1000000", "--m", "5",
+                               "--trials", "5000", "--seed", "1")
+        assert code == 0
+        _, rows = csv_rows(out)
+        assert sum(int(r["count"].strip('"')) for r in rows) == 5000
+
 
 class TestCoupon:
     def test_deterministic(self, capsys):

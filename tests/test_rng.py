@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from parkfun.rng import SplitMix64, mix64, stream_u64, sub_seed, uniform_block
+from parkfun.rng import (SplitMix64, _Residues, mix64, stream_u64, sub_seed,
+                         uniform_block)
 
 # SplitMix64 outputs for seed 1234567, as published for the reference
 # implementation (e.g. the rand crate's splitmix64 test vector).
@@ -55,6 +56,16 @@ def test_uniform_block_rejection_fallback():
     assert uniform_block(11, n, 64).tolist() == scalar
     with pytest.raises(ValueError):
         uniform_block(11, 1 << 63, 4)
+
+
+def test_residue_windows_match_stream():
+    # one buffer serves windows of any seed, offset and length up to its size
+    residues = _Residues(1000, 300)
+    for seed, start, count in ((1, 0, 300), (2, 12345, 7), (1, 299, 300), (3, 5, 0)):
+        want = stream_u64(seed, start, count) % np.uint64(1000)
+        assert residues.draws(seed, start, count).tolist() == want.tolist()
+    # about a quarter of all words are rejected at n = 2**62 + 1
+    assert _Residues((1 << 62) + 1, 64).draws(11, 0, 64) is None
 
 
 def test_uniform_block_power_of_two_range():

@@ -1,12 +1,21 @@
 """Process simulation against hand results, oracles, and exact counts."""
 
 import itertools
+import json
 import math
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parkfun import exact, simulate
-from parkfun.rng import SplitMix64, sub_seed
+from parkfun.rng import SplitMix64, stream_u64, sub_seed, uniform_block
+
+# Histograms of sample_empirical(n, m, trials, seed), trailing zeros cut;
+# they pin the stream recipe and the block partition.
+SAMPLE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "sample_golden.json").read_text())
 
 
 def test_park_identity_preferences():
@@ -114,6 +123,13 @@ def test_enumerate_matches_exact_distribution():
             assert simulate.enumerate_exhaustive(n, m) == exact.defect_distribution(n, m)
 
 
+def test_enumerate_wide_lot_within_budget():
+    # n >> m: memory and time follow the n**m sequences, not n per sequence
+    t0 = time.process_time()
+    assert simulate.enumerate_exhaustive(1000, 2) == exact.defect_distribution(1000, 2)
+    assert time.process_time() - t0 < 3.0
+
+
 def test_enumerate_cap_refusal():
     with pytest.raises(simulate.EnumerationCapError, match="999"):
         simulate.enumerate_exhaustive(10, 12, cap=999)
@@ -156,6 +172,67 @@ def test_sample_matches_exact_frequencies_small_case():
     assert freqs[0] == 0.0
     assert abs(freqs[1] - 7 / 8) < 0.015
     assert abs(freqs[2] - 1 / 8) < 0.015
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (6, 1), (40, 9), (9, 40),
+                                  (30, 30), (3, 25), (500, 20)])
+def test_sorted_kernel_matches_suffix_counts_and_park(n, m):
+    choices = uniform_block(sub_seed(4242, n * 100 + m), n, 300 * m).reshape(300, m)
+    got = simulate._defects_in_place(n, choices - 1)
+    for row, defect in zip(choices.tolist(), got.tolist()):
+        assert defect == simulate.defect_by_suffix_counts(n, row)
+        assert defect == simulate.park(n, row).defect
+
+
+@pytest.mark.parametrize(
+    "case", SAMPLE_GOLDEN,
+    ids=lambda c: "n{n}-m{m}-t{trials}-s{seed}".format(**c))
+def test_sample_histograms_are_frozen(case):
+    emp = simulate.sample_empirical(case["n"], case["m"], case["trials"], case["seed"])
+    assert list(emp.counts) == case["counts"] + [0] * (case["m"] + 1 - len(case["counts"]))
+
+
+def _scalar_replay(n, m, trials, seed, score):
+    """The documented recipe, one scalar draw at a time."""
+    counts = [0] * (m + 1)
+    for b, start in enumerate(range(0, trials, simulate.SAMPLE_BLOCK_TRIALS)):
+        gen = SplitMix64(sub_seed(seed, b))
+        for _ in range(min(simulate.SAMPLE_BLOCK_TRIALS, trials - start)):
+            counts[score(n, [gen.uniform_int(n) for _ in range(m)])] += 1
+    return tuple(counts)
+
+
+def test_sample_matches_scalar_replay_over_three_blocks():
+    # m = 40 puts three chunks in each block; 9000 trials end mid-block 2
+    n, m, trials, seed = 30, 40, 9000, 11
+    want = _scalar_replay(n, m, trials, seed, lambda n, c: simulate.park(n, c).defect)
+    assert simulate.sample_empirical(n, m, trials, seed).counts == want
+
+
+def _walkers(n, choices):
+    # park() allocates O(n) spaces; near n = 2**63 walk an occupied set
+    taken = set()
+    for c in choices:
+        while c in taken:
+            c += 1
+        if c <= n:
+            taken.add(c)
+    return len(choices) - len(taken)
+
+
+def test_sample_rejection_past_first_chunk_replays_whole_block():
+    # 2**64 mod n = 2**47, so one word in 2**17 is rejected.  In block 0
+    # of seed 9 the first rejected word lies in the second chunk, after
+    # the first chunk has been scored; block 1 has none.
+    n, m, trials, seed = (1 << 63) - (1 << 46), 40, 5000, 9
+    limit = ((1 << 64) // n) * n
+    block = simulate.SAMPLE_BLOCK_TRIALS * m
+    rejected = np.flatnonzero(stream_u64(sub_seed(seed, 0), 0, block) >= np.uint64(limit))
+    assert (simulate.CHUNK_WORDS // m) * m <= rejected[0] < block
+    assert not (stream_u64(sub_seed(seed, 1), 0, (trials - 4096) * m)
+                >= np.uint64(limit)).any()
+    want = _scalar_replay(n, m, trials, seed, _walkers)
+    assert simulate.sample_empirical(n, m, trials, seed).counts == want
 
 
 def test_cars_until_full_trivial_and_deterministic():
