@@ -25,7 +25,6 @@ from .exact import (
     DefectDistribution,
     DefectTable,
     abel_identity_check,
-    build_table,
     defect_count_explicit,
     defect_count_recurrence,
     defect_distribution,
@@ -56,7 +55,6 @@ __all__ = [
     "EnumerationCapError",
     "ParkOutcome",
     "abel_identity_check",
-    "build_table",
     "cars_until_full",
     "defect_count_explicit",
     "defect_count_recurrence",

@@ -3,8 +3,8 @@
 Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
 series vs root-finding, quadrature vs closed form.  A check returns
-(passed, detail); suites are plain lists of named checks so the CLI can
-report each one and tests can run them selectively.
+(passed, detail): the miss, or for some checks what a pass measured.
+Suites are plain lists of named checks; the CLI and the tests run each.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -33,8 +33,8 @@ def _fail(detail: str) -> tuple[bool, str]:
     return False, detail
 
 
-def _ok() -> tuple[bool, str]:
-    return True, ""
+def _ok(detail: str = "") -> tuple[bool, str]:
+    return True, detail
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def check_pollak(n_max: int = 20):
 
 
 def check_closed_form_k0(r_max: int = 10, s_max: int = 10):
-    table = exact.build_table(r_max, s_max, 0)
+    table = exact.DefectTable(r_max, s_max, 0)
     for r in range(r_max + 1):
         for s in range(s_max + 1):
             want = (r + 1) * (r + s + 1) ** (s - 1) if s > 0 else 1
@@ -142,24 +142,25 @@ def check_tail_upper_bound(n_max: int = 12, m_max: int = 12):
 # simulation vs exact
 
 
-def check_exhaustive_oracle_small(cap: int = simulate.DEFAULT_ENUMERATION_CAP):
-    pairs = [(n, m) for n in range(1, 6) for m in range(6)] + [(2, 10), (3, 7)]
+def _enumeration_agrees(pairs, cap: int):
     for n, m in pairs:
         if exact.defect_distribution(n, m) != simulate.enumerate_exhaustive(n, m, cap=cap):
             return _fail(f"enumeration disagrees with exact counts at ({n},{m})")
-    return _ok()
+    return _ok(f"{len(pairs)} pairs")
+
+
+def exhaustive_pairs(budget: int) -> list[tuple[int, int]]:
+    """(n, m) for n <= 12 and every m <= 19 with m = 0 or n**m <= budget."""
+    return [(n, m) for n in range(1, 13) for m in range(20) if m == 0 or n ** m <= budget]
+
+
+def check_exhaustive_oracle_small(cap: int = simulate.DEFAULT_ENUMERATION_CAP):
+    pairs = [(n, m) for n in range(1, 6) for m in range(6)] + [(2, 10), (3, 7)]
+    return _enumeration_agrees(pairs, cap)
 
 
 def check_exhaustive_oracle_full(cap: int = simulate.DEFAULT_ENUMERATION_CAP):
-    budget = min(cap, 10 ** 6)
-    for n in range(1, 13):
-        m = 0
-        while n ** (m + 1) <= budget and m < 19:
-            m += 1
-        for mm in range(m + 1):
-            if exact.defect_distribution(n, mm) != simulate.enumerate_exhaustive(n, mm, cap=cap):
-                return _fail(f"enumeration disagrees with exact counts at ({n},{mm})")
-    return _ok()
+    return _enumeration_agrees(exhaustive_pairs(min(cap, 10 ** 6)), cap)
 
 
 def check_park_implementations(instances: int = 2000, seed: int = 0xC0FFEE):
@@ -203,13 +204,15 @@ def check_sampling_determinism():
 def check_monte_carlo_calibration(trials: int = 10 ** 5, seed: int = 1):
     emp = simulate.sample_empirical(100, 100, trials, seed=seed)
     denom = 100 ** 100
+    zs = []
     for k in (5, 10, 20):
         p = exact.ratio_as_float(exact.tail_sum_alternating(100, 100, k), denom)
         se = math.sqrt(p * (1.0 - p) / trials)
         z = abs(emp.tail_frequency(k) - p) / se
         if z > 4.0:
             return _fail(f"empirical tail at k={k} off by {z:.2f} standard errors")
-    return _ok()
+        zs.append(f"k={k} z={z:.2f}")
+    return _ok("; ".join(zs))
 
 
 def check_coupon_experiment(runs: int = 1000, seed: int = 777):
@@ -305,6 +308,7 @@ def check_ratio_limit_values():
 
 
 def check_ratio_limits_exact(ns=(250, 1000, 4000)):
+    reached = []
     for k in (1, 2):
         target = asymptotic.defect_ratio_limit(0, k)
         errs = []
@@ -318,7 +322,8 @@ def check_ratio_limits_exact(ns=(250, 1000, 4000)):
             return _fail(f"ratio error not strictly decreasing for k={k}: {errs}")
         if errs[-1] > 5e-2:
             return _fail(f"ratio error {errs[-1]} above 5e-2 at n={ns[-1]}")
-    return _ok()
+        reached.append(f"k={k} err@{ns[-1]}={errs[-1]:.2e}")
+    return _ok("; ".join(reached))
 
 
 def check_tail_trend(ns=(100, 400, 1600)):
@@ -331,7 +336,7 @@ def check_tail_trend(ns=(100, 400, 1600)):
         return _fail(f"tail errors not decreasing: {errs}")
     if errs[-1] > 0.05:
         return _fail(f"tail error {errs[-1]} above 0.05 at n={ns[-1]}")
-    return _ok()
+    return _ok(f"errors {['%.4f' % e for e in errs]}")
 
 
 def check_phi_consistency(ns=(1000, 4000)):

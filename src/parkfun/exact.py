@@ -119,11 +119,6 @@ class DefectTable:
         return vals[k]
 
 
-def build_table(r_max: int, s_max: int, k_max: int) -> DefectTable:
-    """Build the recurrence table with the given bounds."""
-    return DefectTable(r_max, s_max, k_max)
-
-
 _SHARED_TABLE: DefectTable | None = None
 
 

@@ -68,10 +68,18 @@ def _check_choices(n: int, choices: Sequence[int]) -> None:
             raise ValueError(f"choice {c} outside 1..{n}")
 
 
+def _find(nxt: list, j: int) -> int:
+    # first free space at or after j; path halving changes no root
+    while nxt[j] != j:
+        nxt[j] = nxt[nxt[j]]
+        j = nxt[j]
+    return j
+
+
 def park(n: int, choices: Sequence[int]) -> ParkOutcome:
     """Run the parking process with next-free-space pointer jumping.
 
-    Near O(m) via path compression: nxt[j] is the first candidate free
+    Near O(m) via path halving: nxt[j] is the first candidate free
     space at or after j, with n + 1 acting as the "walked" sink.
     """
     _check_choices(n, choices)
@@ -79,13 +87,7 @@ def park(n: int, choices: Sequence[int]) -> ParkOutcome:
     assignment = []
     occupied = []
     for c in choices:
-        path = []
-        j = c
-        while nxt[j] != j:
-            path.append(j)
-            j = nxt[j]
-        for p in path:
-            nxt[p] = j
+        j = _find(nxt, c)
         if j <= n:
             assignment.append(j)
             occupied.append(j)
@@ -165,10 +167,14 @@ def enumerate_exhaustive(n: int, m: int,
         return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
     divisors = np.array([n ** j for j in range(m - 1, -1, -1)], dtype=np.int64)
     rows = max(1, CHUNK_WORDS // m)
+    idx = np.arange(rows, dtype=np.int64)[:, None]
+    buf = np.empty((rows, m), dtype=np.int64)
     for start in range(0, total, rows):
-        idx = np.arange(start, min(start + rows, total), dtype=np.int64)
-        choices = (idx[:, None] // divisors[None, :]) % n
+        choices = buf[:min(rows, total - start)]
+        np.floor_divide(idx[:len(choices)], divisors, out=choices)
+        np.remainder(choices, n, out=choices)
         counts += np.bincount(_defects_in_place(n, choices), minlength=m + 1)
+        idx += rows
     return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
 
 
@@ -250,14 +256,7 @@ def cars_until_full(n: int, seed: int) -> int:
     cars = 0
     while filled < n:
         cars += 1
-        c = gen.uniform_int(n)
-        path = []
-        j = c
-        while nxt[j] != j:
-            path.append(j)
-            j = nxt[j]
-        for p in path:
-            nxt[p] = j
+        j = _find(nxt, gen.uniform_int(n))
         if j <= n:
             nxt[j] = j + 1
             filled += 1

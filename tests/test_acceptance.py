@@ -2,13 +2,14 @@
 
 Each test prints `criterion NN [name]: PASS/FAIL` (visible with -s, and
 in captured output on failure).  Stated runtime budgets are asserted
-directly; all machines we run on finish far inside them.
+directly; all machines we run on finish far inside them.  A criterion
+that states a named check of `parkfun.checks` calls that check.
 """
 
 import math
 import time
 
-from parkfun import asymptotic, exact, simulate
+from parkfun import asymptotic, checks, exact
 
 TABLE = {
     1: [1],
@@ -47,43 +48,28 @@ def test_criterion_01_reference_table_both_paths():
 
 def test_criterion_02_exhaustive_equals_exact():
     t0 = time.perf_counter()
-    pairs = []
-    for n in range(1, 13):
-        m_max = 19
-        if n > 1:
-            m_max = 0
-            while n ** (m_max + 1) <= 10 ** 6:
-                m_max += 1
-        pairs.extend((n, m) for m in range(m_max + 1))
+    pairs = checks.exhaustive_pairs(10 ** 6)
     assert (2, 19) in pairs and (3, 12) in pairs and (6, 6) in pairs
-    ok = all(simulate.enumerate_exhaustive(n, m) == exact.defect_distribution(n, m)
-             for n, m in pairs)
+    ok, detail = checks.check_exhaustive_oracle_full()
     elapsed = time.perf_counter() - t0
     assert report(2, "exhaustive enumeration oracle", ok,
-                  f"{len(pairs)} pairs, {elapsed:.1f}s")
+                  f"{detail}, {elapsed:.1f}s")
     assert elapsed < 30.0
 
 
 def test_criterion_03_pollak_formula():
-    ok = all(exact.defect_count_explicit(n, m, 0) ==
-             exact.parking_function_count(n, m)
-             for n in range(21) for m in range(n + 1))
-    assert report(3, "defect-free closed form", ok)
+    ok, detail = checks.check_pollak(20)
+    assert report(3, "defect-free closed form", ok), detail
 
 
 def test_criterion_04_abel_identity_grid():
-    ok = all(exact.abel_identity_check(a, b, m)
-             for a in range(9) for b in range(9) for m in range(9))
-    assert report(4, "Abel identity on [0,8]^3", ok)
+    ok, detail = checks.check_abel_grid(8)
+    assert report(4, "Abel identity on [0,8]^3", ok), detail
 
 
 def test_criterion_05_row_sums():
-    ok = True
-    for n in range(1, 13):
-        for m in range(15):
-            counts = exact.defect_distribution(n, m).counts
-            ok &= sum(counts) == n ** m
-    assert report(5, "row sums equal n^m", ok)
+    ok, detail = checks.check_row_sums(12, 14)
+    assert report(5, "row sums equal n^m", ok), detail
 
 
 def test_criterion_06_tail_forms_agree():
@@ -97,63 +83,30 @@ def test_criterion_06_tail_forms_agree():
 
 def test_criterion_07_ratio_limits():
     t0 = time.perf_counter()
-    targets = {1: 2 * math.e - 3, 2: 3 * math.e ** 2 - 8 * math.e + 3.5}
-    ok = True
-    details = []
-    for k, target in targets.items():
-        errs = []
-        for n in (250, 1000, 4000):
-            num = (exact.tail_sum_alternating(n, n, k)
-                   - exact.tail_sum_alternating(n, n, k + 1))
-            den = (exact.tail_sum_alternating(n, n, 0)
-                   - exact.tail_sum_alternating(n, n, 1))
-            errs.append(abs(exact.ratio_as_float(num, den) - target))
-        ok &= errs[0] > errs[1] > errs[2]
-        ok &= errs[2] <= 5e-2
-        details.append(f"k={k} err@4000={errs[2]:.2e}")
+    ok, detail = checks.check_ratio_limits_exact((250, 1000, 4000))
     elapsed = time.perf_counter() - t0
     assert report(7, "fixed-defect ratio limits", ok,
-                  "; ".join(details) + f", {elapsed:.2f}s")
+                  detail + f", {elapsed:.2f}s")
     assert elapsed < 60.0
 
 
 def test_criterion_08_rayleigh_tail_trend():
-    errs = []
-    for n in (100, 400, 1600):
-        k = math.isqrt(n)
-        val = exact.ratio_as_float(exact.tail_sum_alternating(n, n, k), n ** n)
-        errs.append(abs(val - math.exp(-2.0)))
-    ok = errs[0] > errs[1] > errs[2] and errs[2] <= 0.05
-    assert report(8, "tail at sqrt(n) approaches e^-2", ok,
-                  f"errors {['%.4f' % e for e in errs]}")
+    ok, detail = checks.check_tail_trend((100, 400, 1600))
+    assert report(8, "tail at sqrt(n) approaches e^-2", ok, detail)
 
 
 def test_criterion_09_density_integral():
     t0 = time.perf_counter()
-    ok = True
-    for x in (0.25, 0.5, 1.0, 2.0):
-        for y in (-1.0, 0.0, 0.5):
-            if x > y:
-                got = asymptotic.density_integral_check(x, y)
-                ok &= abs(got - math.exp(-2 * x * (x - y))) <= 1e-6
+    ok, detail = checks.check_density_integral_grid()
     elapsed = time.perf_counter() - t0
-    assert report(9, "proof-integral quadrature", ok, f"{elapsed:.2f}s")
+    assert report(9, "proof-integral quadrature", ok, f"{elapsed:.2f}s"), detail
     assert elapsed < 5.0
 
 
 def test_criterion_10_tree_function_fidelity():
-    ok = True
-    for i in range(1001):
-        v = math.exp(-1.0) * i / 1000
-        t = asymptotic.tree_function(v)
-        ok &= abs(t * math.exp(-t) - v) <= 1e-12
-    for lam in (0.1, 0.5, 0.9, 1.0):
-        ok &= abs(asymptotic.tree_function(lam * math.exp(-lam)) - lam) <= 1e-10
-    for lam in (0.5, 2.0):
-        ref = asymptotic.tree_function(
-            min(lam * math.exp(-lam), asymptotic.TREE_ARG_MAX)) / lam
-        ok &= abs(asymptotic.full_lot_series(lam, 200) - ref) <= 1e-10
-    assert report(10, "tree function fidelity", ok)
+    results = [checks.check_tree_function_grid(1000), checks.check_series_vs_tree()]
+    ok = all(passed for passed, _ in results)
+    assert report(10, "tree function fidelity", ok), results
 
 
 def _figure1_gaps(n, m):
@@ -212,30 +165,11 @@ def test_criterion_11_figure1_agreement():
 
 
 def test_criterion_12_figure2_ordering():
-    ok = True
-    for i in range(105, 401, 5):
-        lam = i / 100
-        limit = asymptotic.full_lot_limit(lam)
-        vals = []
-        for n in (10, 20):
-            m = (i * n) // 100
-            count = exact.defect_count_explicit(n, m, m - n)
-            vals.append(exact.ratio_as_float(count, n ** m))
-        ok &= vals[0] >= vals[1] >= limit
-    assert report(12, "figure-2 top-to-bottom ordering", ok)
+    ok, detail = checks.check_full_lot_ordering()
+    assert report(12, "figure-2 top-to-bottom ordering", ok), detail
 
 
 def test_criterion_13_monte_carlo_calibration():
     trials, seed = 10 ** 5, 1
-    emp = simulate.sample_empirical(100, 100, trials, seed=seed)
-    ok = True
-    details = []
-    for k in (5, 10, 20):
-        p = exact.ratio_as_float(exact.tail_sum_alternating(100, 100, k),
-                                 100 ** 100)
-        se = math.sqrt(p * (1 - p) / trials)
-        z = abs(emp.tail_frequency(k) - p) / se
-        details.append(f"k={k} z={z:.2f}")
-        ok &= z <= 4.0
-    assert report(13, "Monte Carlo calibration", ok,
-                  f"seed={seed}, " + "; ".join(details))
+    ok, detail = checks.check_monte_carlo_calibration(trials, seed)
+    assert report(13, "Monte Carlo calibration", ok, f"seed={seed}, {detail}")

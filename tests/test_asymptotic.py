@@ -26,20 +26,6 @@ class TestTreeFunction:
         assert asymptotic.tree_function(0.0) == 0.0
         assert asymptotic.tree_function(math.exp(-1.0)) == 1.0
 
-    def test_recovers_lambda_below_one(self):
-        for lam in (0.1, 0.5, 0.9, 1.0):
-            t = asymptotic.tree_function(lam * math.exp(-lam))
-            assert abs(t - lam) <= 1e-10
-
-    def test_residual_on_grid(self):
-        prev = -1.0
-        for i in range(1001):
-            v = math.exp(-1.0) * i / 1000
-            t = asymptotic.tree_function(v)
-            assert abs(t * math.exp(-t) - v) <= 1e-12
-            assert t > prev
-            prev = t
-
     def test_agrees_with_bisection(self):
         for v in (0.05, 0.2, 0.3, 0.36):
             assert abs(asymptotic.tree_function(v) - bisect_te_negt(v)) < 1e-12
@@ -60,17 +46,6 @@ class TestTailLimits:
     def test_continuous_at_boundary(self):
         # x just above y: exp(-2x(x-y)) -> 1
         assert asymptotic.limiting_tail(0.7 + 1e-12, 0.7) == pytest.approx(1.0, abs=1e-10)
-
-    def test_range_and_monotonicity(self):
-        for y in (-1.0, 0.0, 0.5):
-            prev = None
-            for i in range(41):
-                x = 0.1 * i
-                val = asymptotic.limiting_tail(x, y)
-                assert 0.0 < val <= 1.0
-                if prev is not None and x > y:
-                    assert val <= prev
-                prev = val
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
@@ -99,12 +74,6 @@ class TestPmfApprox:
             asymptotic.pmf_approx(100, 110, 5)
         with pytest.raises(ValueError):
             asymptotic.pmf_approx(0, 0, 1)
-
-    def test_sums_to_one(self):
-        n = 400
-        total = sum(asymptotic.pmf_approx(n, n, k)
-                    for k in range(1, math.ceil(3 * math.sqrt(n)) + 1))
-        assert abs(total - 1.0) < 0.05
 
     def test_tracks_exact_probability(self):
         # agreement at n = 100 is good but not perfect; the worst gap over
@@ -139,13 +108,6 @@ class TestDensity:
         got = asymptotic.density_integral_check(x, y)
         assert abs(got - math.exp(-2 * x * (x - y))) <= 1e-6
 
-    def test_integral_grid(self):
-        for x in (0.25, 0.5, 1.0, 2.0):
-            for y in (-1.0, 0.0, 0.5):
-                if x > y:
-                    got = asymptotic.density_integral_check(x, y)
-                    assert abs(got - math.exp(-2 * x * (x - y))) <= 1e-6
-
     def test_integral_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             asymptotic.density_integral_check(0.5, 0.5)
@@ -174,19 +136,9 @@ class TestFullLot:
                 math.exp(-lam), abs=1e-15)
 
     def test_series_converges_to_tree_function(self):
-        for lam in (0.5, 2.0):
-            ref = asymptotic.tree_function(
-                min(lam * math.exp(-lam), asymptotic.TREE_ARG_MAX)) / lam
-            assert abs(asymptotic.full_lot_series(lam, 200) - ref) <= 1e-10
         # at lambda = 0.5 the 60-term sum is still ~7e-8 away: convergence
         # is geometric with ratio lambda*e^(1-lambda), not instantaneous
         assert abs(asymptotic.full_lot_series(0.5, 60) - 1.0) <= 1e-6
-
-    def test_series_boundary_lambda_one(self):
-        # radius-of-convergence boundary: error decays like 1/sqrt(terms)
-        err_200 = abs(asymptotic.full_lot_series(1.0, 200) - 1.0)
-        err_3200 = abs(asymptotic.full_lot_series(1.0, 3200) - 1.0)
-        assert err_3200 < err_200 < 0.1
 
     def test_series_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -210,11 +162,9 @@ class TestPhiAndRatios:
         assert abs(val - asymptotic.phi(0, 2)) < 0.01
 
     def test_ratio_limits(self):
+        # (0, 1) and (0, 2) are the check ratio-limit-values; (0, 0) is
+        # held here to 1e-15, tighter than that check's 1e-12
         assert asymptotic.defect_ratio_limit(0, 0) == pytest.approx(1.0, abs=1e-15)
-        assert asymptotic.defect_ratio_limit(0, 1) == pytest.approx(
-            2 * E - 3, abs=1e-12)
-        assert asymptotic.defect_ratio_limit(0, 2) == pytest.approx(
-            3 * E ** 2 - 8 * E + 3.5, abs=1e-12)
         assert asymptotic.defect_ratio_limit(-1, 1) > 0.0
 
     def test_ratio_limit_rejects_positive_ell(self):

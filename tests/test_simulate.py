@@ -240,15 +240,3 @@ def test_cars_until_full_trivial_and_deterministic():
     assert simulate.cars_until_full(10, 42) == simulate.cars_until_full(10, 42) == 10
     with pytest.raises(ValueError):
         simulate.cars_until_full(0, 1)
-
-
-def test_cars_until_full_calibrates_against_exact():
-    # fraction of 1000 seeded runs that fill 50 spaces within 100 cars,
-    # vs the exact probability cp(50, 100, 50) / 50**100
-    runs = 1000
-    full = sum(1 for i in range(runs)
-               if simulate.cars_until_full(50, sub_seed(777, i)) <= 100)
-    count = exact.tail_sum(50, 100, 50) - exact.tail_sum(50, 100, 51)
-    p = exact.ratio_as_float(count, 50 ** 100)
-    se = math.sqrt(p * (1 - p) / runs)
-    assert abs(full / runs - p) <= 4 * se
