@@ -26,6 +26,20 @@ class TestTreeFunction:
         assert asymptotic.tree_function(0.0) == 0.0
         assert asymptotic.tree_function(math.exp(-1.0)) == 1.0
 
+    def test_recovers_lambda_below_one(self):
+        for lam in (0.1, 0.5, 0.9, 1.0):
+            t = asymptotic.tree_function(lam * math.exp(-lam))
+            assert abs(t - lam) <= 1e-10
+
+    def test_residual_on_grid(self):
+        prev = -1.0
+        for i in range(1001):
+            v = math.exp(-1.0) * i / 1000
+            t = asymptotic.tree_function(v)
+            assert abs(t * math.exp(-t) - v) <= 1e-12
+            assert t > prev
+            prev = t
+
     def test_agrees_with_bisection(self):
         for v in (0.05, 0.2, 0.3, 0.36):
             assert abs(asymptotic.tree_function(v) - bisect_te_negt(v)) < 1e-12

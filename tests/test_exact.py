@@ -133,6 +133,13 @@ def test_tail_sum_alternating_closed_forms():
     assert all(exact.tail_sum(n, n, n) == 0 for n in range(2, 21))
 
 
+def test_tail_forms_agree_on_grid():
+    for n in range(1, 10):
+        for m in range(10):
+            for k in range(m + 1):
+                assert exact.tail_sum(n, m, k) == exact.tail_sum_alternating(n, m, k)
+
+
 def test_defect_count_explicit_examples():
     assert exact.defect_count_explicit(6, 6, 2) == 8402
     assert exact.defect_count_explicit(5, 3, 7) == 0  # k > m
