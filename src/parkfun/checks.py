@@ -219,8 +219,7 @@ def check_coupon_experiment(runs: int = 1000, seed: int = 777):
     full = sum(1 for i in range(runs)
                if simulate.cars_until_full(50, sub_seed(seed, i)) <= 100)
     frac = full / runs
-    count = exact.tail_sum(50, 100, 50) - exact.tail_sum(50, 100, 51)
-    p = exact.ratio_as_float(count, 50 ** 100)
+    p = exact.ratio_as_float(exact.defect_count_explicit(50, 100, 50), 50 ** 100)
     se = math.sqrt(p * (1.0 - p) / runs)
     if abs(frac - p) > 4.0 * se:
         return _fail(f"full-by-2n fraction {frac:.4f} vs exact {p:.4f} beyond 4 SE")
@@ -359,7 +358,7 @@ def check_full_lot_ordering():
         vals = []
         for n in (10, 20):
             m = (i * n) // 100
-            count = exact.tail_sum(n, m, m - n) - exact.tail_sum(n, m, m - n + 1)
+            count = exact.defect_count_explicit(n, m, m - n)
             vals.append(exact.ratio_as_float(count, n ** m))
         if not vals[0] >= vals[1] >= limit:
             return _fail(f"full-lot ordering broken at lambda={lam}: {vals} vs {limit}")

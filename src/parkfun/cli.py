@@ -164,9 +164,8 @@ def cmd_plotdata_fig2(args) -> int:
             if m < n:
                 p_full = 0.0
             else:
-                count = (exact.tail_sum(n, m, m - n)
-                         - exact.tail_sum(n, m, m - n + 1))
-                p_full = exact.ratio_as_float(count, n ** m)
+                p_full = exact.ratio_as_float(
+                    exact.defect_count_explicit(n, m, m - n), n ** m)
             rows.append({"n": n, "lambda": lam_f, "m": m,
                          "exact_full_probability": p_full, "limit": limit})
     _write(_emit(_config(args, n=n_list),

@@ -96,16 +96,16 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
 
 
 class _Residues:
-    """Uniform draws on 0..n-1 from windows of up to `size` stream words.
+    """Uniform draws on 0..n-1 from a seed's stream, into buffers of `size`.
 
-    `draws(seed, start, count)` reads words start .. start+count-1 of the
-    seed's stream, the same words `stream_u64` returns, into buffers made
-    once.  A caller that walks streams window by window so reuses the
-    same cache-sized memory instead of faulting in fresh pages for every
-    window.  The result is an int64 view of that buffer, valid until the
-    next call.  It is None if any word in the window would be rejected:
-    the draws then no longer line up with the words, and only a scalar
-    replay from the start of the stream places them.
+    `draws(seed, word, count)` reads the stream from word `word` on,
+    drops each word that rejection sampling skips, and returns the next
+    `count` accepted draws with the index of the first word it did not
+    read: draw for draw what `SplitMix64.uniform_int` gives, less one.
+    The buffers are made once, so a caller that walks a stream window by
+    window reuses the same cache-sized memory instead of faulting in
+    fresh pages for every window.  The draws are an int64 view of that
+    buffer, valid until the next call.
     """
 
     def __init__(self, n: int, size: int):
@@ -118,31 +118,33 @@ class _Residues:
         self._z = np.empty_like(self._steps)
         self._t = np.empty_like(self._steps)
 
-    def draws(self, seed: int, start: int, count: int) -> np.ndarray | None:
+    def draws(self, seed: int, word: int, count: int) -> tuple[np.ndarray, int]:
+        done = 0
+        while True:
+            z = self._z[done:count]
+            np.add(self._steps[:len(z)], np.uint64((seed + word * GAMMA) & MASK64), out=z)
+            _mix(z, self._t[:len(z)])
+            word += len(z)
+            if self._limit is None or (keep := z < self._limit).all():
+                break
+            # close up over the rejected words; the next pass fills the tail
+            kept = z[keep]
+            z[:len(kept)] = kept
+            done += len(kept)
         z = self._z[:count]
-        np.add(self._steps[:count], np.uint64((seed + start * GAMMA) & MASK64), out=z)
-        _mix(z, self._t[:count])
-        if self._limit is not None and bool((z >= self._limit).any()):
-            return None
-        return np.remainder(z, self._n, out=z).view(np.int64)
+        return np.remainder(z, self._n, out=z).view(np.int64), word
 
 
 def uniform_block(seed: int, n: int, count: int) -> np.ndarray:
     """`count` uniform draws on {1, .., n} from the seed's stream.
 
-    Fast path: generate exactly `count` raw words; if none is rejected
-    (probability < count * n / 2**64), the draws are those words reduced
-    mod n.  Otherwise fall back to the scalar generator, which replays
-    the identical stream including rejections.
+    Rejected words are skipped in place, so the result equals `count`
+    calls of SplitMix64(seed).uniform_int(n).
     """
     if not 1 <= n < 1 << 63:
         raise ValueError("uniform_block needs 1 <= n < 2**63 (int64 output)")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    draws = _Residues(n, count).draws(seed, 0, count)
-    if draws is None:
-        gen = SplitMix64(seed)
-        return np.array([gen.uniform_int(n) for _ in range(count)],
-                        dtype=np.int64)
+    draws, _ = _Residues(n, count).draws(seed, 0, count)
     draws += 1
     return draws

@@ -24,7 +24,8 @@ n - c_(j) spaces, and the worst suffix starts at a chosen space.  `park`
 and both forms are verified against each other in the tests; the
 vectorized enumeration and sampling paths evaluate the sorted form with
 numpy, in chunks of about CHUNK_WORDS choices so that each chunk stays
-in cache and memory does not grow with n.
+in cache and memory does not grow with n; sampling draws every chunk
+from one pass over the block's stream, so chunking changes no draw.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import DefectDistribution
-from .rng import SplitMix64, _Residues, sub_seed, uniform_block
+from .rng import SplitMix64, _Residues, sub_seed
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
 SAMPLE_BLOCK_TRIALS = 4096
@@ -202,12 +203,13 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
     Trials are partitioned into blocks of SAMPLE_BLOCK_TRIALS; block b
     draws its sequences from the stream seeded with sub_seed(seed, b), so
     the result is reproducible and blocks may be evaluated in any order.
-    Row r of a block holds words r*m .. r*m+m-1 of the block's stream;
-    rows are drawn and scored a chunk of about CHUNK_WORDS words at a
-    time, which changes no draw.
+    Row r of a block holds draws r*m .. r*m+m-1 of the block's stream,
+    rejected words skipped as by SplitMix64.uniform_int; rows are drawn
+    and scored a chunk of about CHUNK_WORDS draws at a time, each chunk
+    reading on from the word where the last one stopped.
     """
-    if n < 1:
-        raise ValueError("sampling needs at least one space")
+    if not 1 <= n <= 1 << 63:
+        raise ValueError("sampling needs 1 <= n <= 2**63 spaces")
     if m < 0 or trials < 1:
         raise ValueError("need m >= 0 and trials >= 1")
     counts = np.zeros(m + 1, dtype=np.int64)
@@ -219,19 +221,12 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
         for b, start in enumerate(range(0, trials, SAMPLE_BLOCK_TRIALS)):
             block_seed = sub_seed(seed, b)
             t = min(SAMPLE_BLOCK_TRIALS, trials - start)
-            hist = np.zeros(m + 1, dtype=np.int64)
+            word = 0
             for row in range(0, t, rows):
                 r = min(rows, t - row)
-                draws = residues.draws(block_seed, row * m, r * m)
-                if draws is None:
-                    # a rejected word shifts every later draw: replay the block
-                    draws = uniform_block(block_seed, n, t * m) - 1
-                    hist = np.bincount(_defects_in_place(n, draws.reshape(t, m)),
-                                       minlength=m + 1)
-                    break
-                hist += np.bincount(_defects_in_place(n, draws.reshape(r, m)),
-                                    minlength=m + 1)
-            counts += hist
+                draws, word = residues.draws(block_seed, word, r * m)
+                counts += np.bincount(_defects_in_place(n, draws.reshape(r, m)),
+                                      minlength=m + 1)
     return EmpiricalDistribution(n=n, m=m, trials=trials, seed=seed,
                                  counts=tuple(int(c) for c in counts))
 

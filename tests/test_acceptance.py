@@ -3,7 +3,9 @@
 Each test prints `criterion NN [name]: PASS/FAIL` (visible with -s, and
 in captured output on failure).  Stated runtime budgets are asserted
 directly; all machines we run on finish far inside them.  A criterion
-that states a named check of `parkfun.checks` calls that check.
+that states a named check of `parkfun.checks` reads that check's one
+run from the `full_check` fixture, and asserts its budget on the
+seconds that run took.
 """
 
 import math
@@ -46,28 +48,27 @@ def test_criterion_01_reference_table_both_paths():
     assert elapsed < 1.0
 
 
-def test_criterion_02_exhaustive_equals_exact():
-    t0 = time.perf_counter()
+def test_criterion_02_exhaustive_equals_exact(full_check):
     pairs = checks.exhaustive_pairs(10 ** 6)
     assert (2, 19) in pairs and (3, 12) in pairs and (6, 6) in pairs
-    ok, detail = checks.check_exhaustive_oracle_full()
-    elapsed = time.perf_counter() - t0
+    ok, detail, elapsed = full_check("exhaustive-oracle-full")
     assert report(2, "exhaustive enumeration oracle", ok,
                   f"{detail}, {elapsed:.1f}s")
     assert elapsed < 30.0
 
 
-def test_criterion_03_pollak_formula():
-    ok, detail = checks.check_pollak(20)
+def test_criterion_03_pollak_formula(full_check):
+    ok, detail, _ = full_check("pollak-consistency")
     assert report(3, "defect-free closed form", ok), detail
 
 
-def test_criterion_04_abel_identity_grid():
-    ok, detail = checks.check_abel_grid(8)
+def test_criterion_04_abel_identity_grid(full_check):
+    ok, detail, _ = full_check("abel-identity-grid")
     assert report(4, "Abel identity on [0,8]^3", ok), detail
 
 
 def test_criterion_05_row_sums():
+    # a wider grid than the named check's (8, 10), so it runs on its own
     ok, detail = checks.check_row_sums(12, 14)
     assert report(5, "row sums equal n^m", ok), detail
 
@@ -81,30 +82,26 @@ def test_criterion_06_tail_forms_agree():
     assert report(6, "both tail-sum forms agree", ok)
 
 
-def test_criterion_07_ratio_limits():
-    t0 = time.perf_counter()
-    ok, detail = checks.check_ratio_limits_exact((250, 1000, 4000))
-    elapsed = time.perf_counter() - t0
+def test_criterion_07_ratio_limits(full_check):
+    ok, detail, elapsed = full_check("ratio-limits-exact")
     assert report(7, "fixed-defect ratio limits", ok,
                   detail + f", {elapsed:.2f}s")
     assert elapsed < 60.0
 
 
-def test_criterion_08_rayleigh_tail_trend():
-    ok, detail = checks.check_tail_trend((100, 400, 1600))
+def test_criterion_08_rayleigh_tail_trend(full_check):
+    ok, detail, _ = full_check("tail-trend")
     assert report(8, "tail at sqrt(n) approaches e^-2", ok, detail)
 
 
-def test_criterion_09_density_integral():
-    t0 = time.perf_counter()
-    ok, detail = checks.check_density_integral_grid()
-    elapsed = time.perf_counter() - t0
+def test_criterion_09_density_integral(full_check):
+    ok, detail, elapsed = full_check("density-integral-grid")
     assert report(9, "proof-integral quadrature", ok, f"{elapsed:.2f}s"), detail
     assert elapsed < 5.0
 
 
-def test_criterion_10_tree_function_fidelity():
-    results = [checks.check_tree_function_grid(1000), checks.check_series_vs_tree()]
+def test_criterion_10_tree_function_fidelity(full_check):
+    results = [full_check(name)[:2] for name in ("tree-function-grid", "series-vs-tree")]
     ok = all(passed for passed, _ in results)
     assert report(10, "tree function fidelity", ok), results
 
@@ -164,12 +161,12 @@ def test_criterion_11_figure1_agreement():
     assert elapsed < 20.0
 
 
-def test_criterion_12_figure2_ordering():
-    ok, detail = checks.check_full_lot_ordering()
+def test_criterion_12_figure2_ordering(full_check):
+    ok, detail, _ = full_check("full-lot-ordering")
     assert report(12, "figure-2 top-to-bottom ordering", ok), detail
 
 
-def test_criterion_13_monte_carlo_calibration():
-    trials, seed = 10 ** 5, 1
-    ok, detail = checks.check_monte_carlo_calibration(trials, seed)
-    assert report(13, "Monte Carlo calibration", ok, f"seed={seed}, {detail}")
+def test_criterion_13_monte_carlo_calibration(full_check):
+    # the named check samples 10**5 trials with seed 1
+    ok, detail, _ = full_check("monte-carlo-calibration")
+    assert report(13, "Monte Carlo calibration", ok, f"seed=1, {detail}")

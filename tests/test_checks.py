@@ -1,7 +1,9 @@
 """Every named check of `parkfun verify --level full`, one test id each.
 
 Each invariant the checks state is defined once, in `parkfun.checks`;
-tests elsewhere keep only what no check covers.
+tests elsewhere keep only what no check covers.  Each check runs once
+per session, through the `full_check` fixture the acceptance criteria
+read too.
 """
 
 import pytest
@@ -9,8 +11,7 @@ import pytest
 from parkfun import checks
 
 
-@pytest.mark.parametrize("fn", [fn for _, fn in checks.FULL_CHECKS],
-                         ids=[name for name, _ in checks.FULL_CHECKS])
-def test_check_passes(fn):
-    passed, detail = fn()
+@pytest.mark.parametrize("name", [name for name, _ in checks.FULL_CHECKS])
+def test_check_passes(full_check, name):
+    passed, detail, _ = full_check(name)
     assert passed, detail

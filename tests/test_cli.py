@@ -208,6 +208,13 @@ class TestSimulate:
         _, rows = csv_rows(out)
         assert sum(int(r["count"].strip('"')) for r in rows) == 5000
 
+    def test_lot_beyond_int64_is_refused(self, capsys):
+        # residues of n > 2**63 overflow int64; 2**63 rejects no word
+        for n in (2 ** 64 - 1, 2 ** 63 + 1):
+            code, _, err = run_cli(capsys, "simulate", "--n", str(n), "--m", "5")
+            assert code == 2 and "sampling" in err
+        assert run_cli(capsys, "simulate", "--n", str(2 ** 63), "--m", "5")[0] == 0
+
 
 class TestCoupon:
     def test_deterministic(self, capsys):

@@ -48,8 +48,8 @@ def test_uniform_block_matches_scalar():
 
 
 def test_uniform_block_rejection_fallback():
-    # an enormous range rejects ~1/4 of raw words, forcing the scalar
-    # replay path; results must still match the scalar stream
+    # an enormous range rejects ~1/4 of raw words, which the vector path
+    # drops in place; results must still match the scalar stream
     n = (1 << 62) + 1
     gen = SplitMix64(11)
     scalar = [gen.uniform_int(n) for _ in range(64)]
@@ -63,9 +63,20 @@ def test_residue_windows_match_stream():
     residues = _Residues(1000, 300)
     for seed, start, count in ((1, 0, 300), (2, 12345, 7), (1, 299, 300), (3, 5, 0)):
         want = stream_u64(seed, start, count) % np.uint64(1000)
-        assert residues.draws(seed, start, count).tolist() == want.tolist()
-    # about a quarter of all words are rejected at n = 2**62 + 1
-    assert _Residues((1 << 62) + 1, 64).draws(11, 0, 64) is None
+        draws, word = residues.draws(seed, start, count)
+        assert draws.tolist() == want.tolist()
+        assert word == start + count
+    # about a quarter of all words are rejected at n = 2**62 + 1: a window
+    # drops them and reads on, and the next window starts where it stopped
+    n = (1 << 62) + 1
+    gen = SplitMix64(11)
+    want = [gen.uniform_int(n) - 1 for _ in range(64)]
+    residues = _Residues(n, 40)
+    first, word = residues.draws(11, 0, 40)
+    first = first.tolist()
+    rest, word = residues.draws(11, word, 24)
+    assert first + rest.tolist() == want
+    assert int(stream_u64(11, word, 1)[0]) == gen.next_u64()
 
 
 def test_uniform_block_power_of_two_range():

@@ -223,7 +223,10 @@ def _walkers(n, choices):
 def test_sample_rejection_past_first_chunk_replays_whole_block():
     # 2**64 mod n = 2**47, so one word in 2**17 is rejected.  In block 0
     # of seed 9 the first rejected word lies in the second chunk, after
-    # the first chunk has been scored; block 1 has none.
+    # the first chunk has been scored; block 1 has none.  The chunks after
+    # that word read on one word later.  At this n, 40 drivers never
+    # collide, so every histogram is all zeros whatever words are drawn;
+    # test_sample_scores_the_accepted_stream checks the words.
     n, m, trials, seed = (1 << 63) - (1 << 46), 40, 5000, 9
     limit = ((1 << 64) // n) * n
     block = simulate.SAMPLE_BLOCK_TRIALS * m
@@ -233,6 +236,35 @@ def test_sample_rejection_past_first_chunk_replays_whole_block():
                 >= np.uint64(limit)).any()
     want = _scalar_replay(n, m, trials, seed, _walkers)
     assert simulate.sample_empirical(n, m, trials, seed).counts == want
+
+
+def test_sample_scores_the_accepted_stream(monkeypatch):
+    # About a quarter of all words are rejected at n = 2**62 + 1, in every
+    # chunk.  Copied before the kernel sorts them and concatenated, the
+    # scored rows must be each block's accepted draws in stream order.
+    n, m, trials, seed = (1 << 62) + 1, 40, 9000, 11
+    kernel = simulate._defects_in_place
+    scored = []
+
+    def spy(n, choices):
+        scored.append(choices.copy())
+        return kernel(n, choices)
+
+    monkeypatch.setattr(simulate, "_defects_in_place", spy)
+    simulate.sample_empirical(n, m, trials, seed)
+    want = []
+    for b, start in enumerate(range(0, trials, simulate.SAMPLE_BLOCK_TRIALS)):
+        gen = SplitMix64(sub_seed(seed, b))
+        rows = min(simulate.SAMPLE_BLOCK_TRIALS, trials - start)
+        want += [gen.uniform_int(n) - 1 for _ in range(rows * m)]
+    assert np.concatenate(scored).ravel().tolist() == want
+
+
+def test_sample_heavy_rejection_within_budget():
+    # rejected words cost one pass over the stream, not a replay
+    t0 = time.process_time()
+    simulate.sample_empirical((1 << 62) + 1, 100, 20000, 3)
+    assert time.process_time() - t0 < 1.0
 
 
 def test_cars_until_full_trivial_and_deterministic():
