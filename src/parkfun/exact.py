@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 def pascal_row(n: int) -> tuple[int, ...]:
@@ -87,6 +88,9 @@ class DefectTable:
         cols: list[list[list[int]]] = []
         for s in range(s_max + 1):
             k_cap = k_max + (s_max - s)
+            if s > 0:
+                # binoms[k] pairs C(s+k, k+1), .., C(s+k, 0) with a(r, s-1, 0..k+1)
+                binoms = [pascal_row(s + k)[k + 1::-1] for k in range(k_cap + 1)]
             col = []
             for r in range(r_max + 1):
                 vals = []
@@ -95,10 +99,7 @@ class DefectTable:
                     if k == 0 and r > 0:
                         v += col[r - 1][0]
                     if s > 0:
-                        row = pascal_row(s + k)
-                        below = cols[s - 1][r]
-                        v += sum(row[k + 1 - i] * below[i]
-                                 for i in range(k + 2))
+                        v += sum(map(operator.mul, binoms[k], cols[s - 1][r]))
                     vals.append(v)
                 col.append(vals)
             cols.append(col)

@@ -26,6 +26,17 @@ vectorized enumeration and sampling paths evaluate the sorted form with
 numpy, in chunks of about CHUNK_WORDS choices so that each chunk stays
 in cache and memory does not grow with n; sampling draws every chunk
 from one pass over the block's stream, so chunking changes no draw.
+Rows are int32 while n <= 2**31 and int64 above; each path writes its
+chunks into one reused buffer.
+
+The lot fills by the prefix form of the same rule (Konheim & Weiss,
+1966): after c cars every space is taken exactly when, for every j, at
+least j of the first c choices are <= j.  Cars only move right, so
+spaces 1..j fill only from choices <= j; and no car can pass an empty
+space j, so every car that chose <= j parked in the j - 1 spaces below
+it.  `cars_until_full` therefore tallies windows of the same stream
+words the scalar generator would draw, one per car, and finds the least
+c by binary search instead of parking car by car.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact import DefectDistribution
-from .rng import SplitMix64, _Residues, sub_seed
+from .rng import _Residues, sub_seed
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
 SAMPLE_BLOCK_TRIALS = 4096
@@ -69,14 +80,6 @@ def _check_choices(n: int, choices: Sequence[int]) -> None:
             raise ValueError(f"choice {c} outside 1..{n}")
 
 
-def _find(nxt: list, j: int) -> int:
-    # first free space at or after j; path halving changes no root
-    while nxt[j] != j:
-        nxt[j] = nxt[nxt[j]]
-        j = nxt[j]
-    return j
-
-
 def park(n: int, choices: Sequence[int]) -> ParkOutcome:
     """Run the parking process with next-free-space pointer jumping.
 
@@ -87,8 +90,11 @@ def park(n: int, choices: Sequence[int]) -> ParkOutcome:
     nxt = list(range(n + 2))
     assignment = []
     occupied = []
-    for c in choices:
-        j = _find(nxt, c)
+    for j in choices:
+        # first free space at or after j; path halving changes no root
+        while nxt[j] != j:
+            nxt[j] = nxt[nxt[j]]
+            j = nxt[j]
         if j <= n:
             assignment.append(j)
             occupied.append(j)
@@ -137,14 +143,19 @@ def defect_by_suffix_counts(n: int, choices: Sequence[int]) -> int:
     return worst
 
 
+def _row_dtype(n: int) -> type:
+    # Choices 0..n-1 fit int32 while n <= 2**31, and int32 rows sort faster.
+    return np.int32 if n <= 1 << 31 else np.int64
+
+
 def _defects_in_place(n: int, choices: np.ndarray) -> np.ndarray:
-    # choices: (rows, m) int64 array with values in 0..n-1; sorted in place.
+    # choices: (rows, m) int32 or int64 array with values in 0..n-1; sorted in place.
     rows, m = choices.shape
     if m == 0:
         return np.zeros(rows, dtype=np.int64)
     choices.sort(axis=1)
-    choices -= np.arange(m, dtype=np.int64)
-    return np.maximum(choices.max(axis=1) + (m - n), 0)
+    choices -= np.arange(m, dtype=choices.dtype)
+    return np.maximum(choices.max(axis=1) + np.int64(m - n), 0)
 
 
 def enumerate_exhaustive(n: int, m: int,
@@ -152,7 +163,12 @@ def enumerate_exhaustive(n: int, m: int,
     """Tally the defect of every one of the n**m preference sequences.
 
     Refuses (rather than truncates) when n**m exceeds `cap`: a partial
-    enumeration is not an oracle.
+    enumeration is not an oracle.  Sequences are the base-n numerals of
+    0 .. n**m - 1, most significant digit first.  The low L digits run
+    through all n**L combinations, L as large as fits about CHUNK_WORDS
+    choices; that block is built once, and each chunk stacks copies of
+    it under as many high-digit prefixes as fit, so only the prefixes
+    are decoded.
     """
     if n < 0 or m < 0:
         raise ValueError("n, m must be nonnegative")
@@ -166,16 +182,23 @@ def enumerate_exhaustive(n: int, m: int,
     if m == 0 or n == 0:
         counts[0] = 1
         return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
-    divisors = np.array([n ** j for j in range(m - 1, -1, -1)], dtype=np.int64)
     rows = max(1, CHUNK_WORDS // m)
-    idx = np.arange(rows, dtype=np.int64)[:, None]
-    buf = np.empty((rows, m), dtype=np.int64)
-    for start in range(0, total, rows):
-        choices = buf[:min(rows, total - start)]
-        np.floor_divide(idx[:len(choices)], divisors, out=choices)
-        np.remainder(choices, n, out=choices)
-        counts += np.bincount(_defects_in_place(n, choices), minlength=m + 1)
-        idx += rows
+    low, span = 0, 1
+    while low < m and span * n <= rows:
+        low, span = low + 1, span * n
+    high = m - low
+    prefixes = n ** high
+    per_chunk = rows // span
+    block = np.arange(span)[:, None] // n ** np.arange(low - 1, -1, -1) % n
+    places = n ** np.arange(high - 1, -1, -1)
+    buf = np.empty((per_chunk, span, m), dtype=_row_dtype(n))
+    for first in range(0, prefixes, per_chunk):
+        chunk = buf[:min(per_chunk, prefixes - first)]
+        chunk[:, :, high:] = block
+        chunk[:, :, :high] = (np.arange(first, first + len(chunk))[:, None, None]
+                              // places % n)
+        counts += np.bincount(_defects_in_place(n, chunk.reshape(-1, m)),
+                              minlength=m + 1)
     return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
 
 
@@ -218,6 +241,7 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
     else:
         rows = min(trials, SAMPLE_BLOCK_TRIALS, max(1, CHUNK_WORDS // m))
         residues = _Residues(n, rows * m)
+        buf = np.empty(rows * m, dtype=_row_dtype(n))
         for b, start in enumerate(range(0, trials, SAMPLE_BLOCK_TRIALS)):
             block_seed = sub_seed(seed, b)
             t = min(SAMPLE_BLOCK_TRIALS, trials - start)
@@ -225,7 +249,9 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
             for row in range(0, t, rows):
                 r = min(rows, t - row)
                 draws, word = residues.draws(block_seed, word, r * m)
-                counts += np.bincount(_defects_in_place(n, draws.reshape(r, m)),
+                choices = buf[:r * m]
+                choices[:] = draws
+                counts += np.bincount(_defects_in_place(n, choices.reshape(r, m)),
                                       minlength=m + 1)
     return EmpiricalDistribution(n=n, m=m, trials=trials, seed=seed,
                                  counts=tuple(int(c) for c in counts))
@@ -236,7 +262,16 @@ def cars_until_full(n: int, seed: int) -> int:
 
     Each car picks uniformly on 1..n and parks by the process rules (or
     walks).  Returns how many cars were sent in total, walkers included.
-    Deterministic given the seed.
+    Deterministic given the seed: car i's choice is draw i of the seed's
+    stream, the same words as SplitMix64(seed).uniform_int(n).
+
+    The process itself is not run.  The lot is full after c cars exactly
+    when, for every j, at least j of the first c choices are <= j
+    (Konheim & Weiss, 1966): cars only move right, so spaces 1..j fill
+    only from choices <= j, and no car passes an empty space.  The
+    choices are drawn in windows, their tallies carried from one window
+    to the next, and the least such c is found by binary search in the
+    window that fills the lot.
 
     Collector's reading of the same process: draw from n ranked items
     until the collection completes, where a duplicate may be traded for
@@ -245,14 +280,28 @@ def cars_until_full(n: int, seed: int) -> int:
     """
     if n < 1:
         raise ValueError("need at least one space")
-    gen = SplitMix64(seed)
-    nxt = list(range(n + 2))
-    filled = 0
-    cars = 0
-    while filled < n:
-        cars += 1
-        j = _find(nxt, gen.uniform_int(n))
-        if j <= n:
-            nxt[j] = j + 1
-            filled += 1
-    return cars
+    need = np.arange(1, n + 1)
+
+    def fills(tallies):
+        return (np.cumsum(tallies) >= need).all()
+
+    # a lot is rarely still open after 3n cars; the cap bounds the buffers
+    window = min(3 * n, 16 * CHUNK_WORDS)
+    residues = _Residues(n, window)
+    tally = np.zeros(n, dtype=np.int64)     # choices before this window, by space
+    cars = word = 0
+    while True:
+        draws, word = residues.draws(seed, word, window)
+        upto = tally + np.bincount(draws, minlength=n)
+        if fills(upto):
+            break
+        tally, cars = upto, cars + window
+    lo, hi = 0, window                      # draws[:hi] fill the lot, draws[:lo] do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        upto = tally + np.bincount(draws[lo:mid], minlength=n)
+        if fills(upto):
+            hi = mid
+        else:
+            lo, tally = mid, upto
+    return cars + hi

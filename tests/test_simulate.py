@@ -16,6 +16,10 @@ from parkfun.rng import SplitMix64, stream_u64, sub_seed, uniform_block
 # they pin the stream recipe and the block partition.
 SAMPLE_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "sample_golden.json").read_text())
+# cars_until_full(n, sub_seed(seed, i)) for i = 0, 1, 2, recorded when the
+# process was still run car by car; they pin the coupon stream.
+COUPON_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "coupon_golden.json").read_text())
 
 
 def test_park_identity_preferences():
@@ -130,6 +134,33 @@ def test_enumerate_wide_lot_within_budget():
     assert time.process_time() - t0 < 3.0
 
 
+@pytest.mark.parametrize("n, m, chunks, rows, last_rows", [
+    (3, 5, 1, 243, 243),          # the whole enumeration in one chunk
+    (3000, 1, 1, 3000, 3000),
+    (1, 9, 1, 1, 1),
+    (2, 20, 512, 2048, 2048),     # one high-digit prefix per chunk
+    (4, 8, 8, 8192, 8192),        # two prefixes per chunk
+    (7, 7, 115, 7203, 2401),      # three per chunk, one in the last
+    (5, 9, 313, 6250, 3125),      # two per chunk, one in the last
+    (1000, 2, 32, 32000, 8000),   # 32 per chunk, 8 in the last
+])
+def test_enumerate_block_geometry(n, m, chunks, rows, last_rows, monkeypatch):
+    kernel = simulate._defects_in_place
+    scored = []
+
+    def spy(n, choices):
+        scored.append(choices.copy())
+        return kernel(n, choices)
+
+    monkeypatch.setattr(simulate, "_defects_in_place", spy)
+    assert simulate.enumerate_exhaustive(n, m) == exact.defect_distribution(n, m)
+    assert [len(c) for c in scored] == [rows] * (chunks - 1) + [last_rows]
+    if n ** m * m <= 10 ** 6:
+        # every sequence once, in the order of its base-n numeral
+        want = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n
+        assert (np.concatenate(scored) == want).all()
+
+
 def test_enumerate_cap_refusal():
     with pytest.raises(simulate.EnumerationCapError, match="999"):
         simulate.enumerate_exhaustive(10, 12, cap=999)
@@ -138,6 +169,7 @@ def test_enumerate_cap_refusal():
 
 def test_enumerate_degenerate():
     assert simulate.enumerate_exhaustive(5, 0).counts == (1,)
+    assert simulate.enumerate_exhaustive(1, 0) == exact.defect_distribution(1, 0)
     assert simulate.enumerate_exhaustive(0, 0).counts == (1,)
     with pytest.raises(ValueError):
         simulate.enumerate_exhaustive(0, 2)
@@ -179,9 +211,23 @@ def test_sample_matches_exact_frequencies_small_case():
 def test_sorted_kernel_matches_suffix_counts_and_park(n, m):
     choices = uniform_block(sub_seed(4242, n * 100 + m), n, 300 * m).reshape(300, m)
     got = simulate._defects_in_place(n, choices - 1)
+    assert (simulate._defects_in_place(n, (choices - 1).astype(np.int32)) == got).all()
     for row, defect in zip(choices.tolist(), got.tolist()):
         assert defect == simulate.defect_by_suffix_counts(n, row)
         assert defect == simulate.park(n, row).defect
+
+
+def test_kernel_int32_rows_reach_the_top_space():
+    # at n = 2**31 the last space, 0-based 2**31 - 1, is int32's largest value
+    n, m = 1 << 31, 30
+    choices = uniform_block(sub_seed(31, 0), n, 200 * m).reshape(200, m) - 1
+    choices[::3, ::4] = n - 1
+    choices[1::5] = n - 1
+    choices[2::7, :m // 2] = n - 2
+    got = simulate._defects_in_place(n, choices.copy())
+    assert (simulate._defects_in_place(n, choices.astype(np.int32)) == got).all()
+    assert got.tolist() == [_walkers(n, row + 1) for row in choices]
+    assert max(got) == m - 1
 
 
 @pytest.mark.parametrize(
@@ -238,11 +284,10 @@ def test_sample_rejection_past_first_chunk_replays_whole_block():
     assert simulate.sample_empirical(n, m, trials, seed).counts == want
 
 
-def test_sample_scores_the_accepted_stream(monkeypatch):
-    # About a quarter of all words are rejected at n = 2**62 + 1, in every
-    # chunk.  Copied before the kernel sorts them and concatenated, the
-    # scored rows must be each block's accepted draws in stream order.
-    n, m, trials, seed = (1 << 62) + 1, 40, 9000, 11
+def _assert_scores_accepted_stream(n, monkeypatch):
+    # Copied before the kernel sorts them and concatenated, the scored rows
+    # must be each block's accepted draws in stream order.
+    m, trials, seed = 40, 9000, 11
     kernel = simulate._defects_in_place
     scored = []
 
@@ -252,12 +297,24 @@ def test_sample_scores_the_accepted_stream(monkeypatch):
 
     monkeypatch.setattr(simulate, "_defects_in_place", spy)
     simulate.sample_empirical(n, m, trials, seed)
+    assert {c.dtype for c in scored} == {np.dtype(np.int32 if n <= 1 << 31 else np.int64)}
     want = []
     for b, start in enumerate(range(0, trials, simulate.SAMPLE_BLOCK_TRIALS)):
         gen = SplitMix64(sub_seed(seed, b))
         rows = min(simulate.SAMPLE_BLOCK_TRIALS, trials - start)
         want += [gen.uniform_int(n) - 1 for _ in range(rows * m)]
     assert np.concatenate(scored).ravel().tolist() == want
+
+
+def test_sample_scores_the_accepted_stream(monkeypatch):
+    # about a quarter of all words are rejected at n = 2**62 + 1, in every chunk
+    _assert_scores_accepted_stream((1 << 62) + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1 << 31, (1 << 31) + 1])
+def test_sample_rows_are_int32_up_to_two_to_the_31(n, monkeypatch):
+    # 2**31 - 1, the top space at n = 2**31, is int32's largest value
+    _assert_scores_accepted_stream(n, monkeypatch)
 
 
 def test_sample_heavy_rejection_within_budget():
@@ -267,8 +324,49 @@ def test_sample_heavy_rejection_within_budget():
     assert time.process_time() - t0 < 1.0
 
 
+def test_cars_until_full_within_budget():
+    # per-window tallies and a binary search, not a draw and a find per car
+    t0 = time.process_time()
+    simulate.cars_until_full(10 ** 6, sub_seed(1, 1))
+    assert time.process_time() - t0 < 0.75
+
+
 def test_cars_until_full_trivial_and_deterministic():
     assert all(simulate.cars_until_full(1, s) == 1 for s in range(25))
     assert simulate.cars_until_full(10, 42) == simulate.cars_until_full(10, 42) == 10
     with pytest.raises(ValueError):
         simulate.cars_until_full(0, 1)
+
+
+@pytest.mark.parametrize("case", COUPON_GOLDEN, ids=lambda c: "n{n}-s{seed}".format(**c))
+def test_cars_until_full_is_frozen(case):
+    n, seed = case["n"], case["seed"]
+    assert [simulate.cars_until_full(n, sub_seed(seed, i)) for i in range(3)] == case["cars"]
+
+
+def _cars_replay(n, seed):
+    """The process run car by car: one scalar draw and one find per car."""
+    gen = SplitMix64(seed)
+    nxt = list(range(n + 2))    # first free space at or after j; n + 1 = walked
+    filled = cars = 0
+    while filled < n:
+        cars += 1
+        j = gen.uniform_int(n)
+        while nxt[j] != j:
+            nxt[j] = nxt[nxt[j]]
+            j = nxt[j]
+        if j <= n:
+            nxt[j] = j + 1
+            filled += 1
+    return cars
+
+
+def test_cars_until_full_matches_process_replay():
+    gen = SplitMix64(77)
+    past_first_window = 0
+    for i in range(60):
+        n = gen.uniform_int(3000 if i % 2 else 20)
+        want = _cars_replay(n, sub_seed(77, i))
+        assert simulate.cars_until_full(n, sub_seed(77, i)) == want, (n, i)
+        past_first_window += want > 3 * n
+    assert past_first_window
