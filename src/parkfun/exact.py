@@ -25,39 +25,21 @@ whole law costs about min(m, n)**2 / 2 cheap steps instead of m**2 / 2
 terms with big powers.  tail_sum stays the point query, and
 tail_sum_alternating the independent check.
 
+Each sum walks its own binomials, C(m, i + 1) = C(m, i) * (m - i) /
+(i + 1), so a point query costs its own terms and nothing more.  No
+state is kept between calls: table_value builds the table its query
+needs, and nothing is cached.
+
 Counts serialize as decimal strings, never as floats; ratio_as_float is
-the one sanctioned bridge from exact counts to IEEE doubles.
+the one sanctioned bridge from exact counts to IEEE doubles, and it is
+correctly rounded.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
-
-def pascal_row(n: int) -> tuple[int, ...]:
-    """Row n of Pascal's triangle, (C(n,0), .., C(n,n)), cached."""
-    if n < 0:
-        raise ValueError("binomial row index must be nonnegative")
-    return _pascal_row(n)
-
-
-@functools.lru_cache(maxsize=512)
-def _pascal_row(n: int) -> tuple[int, ...]:
-    vals = [1]
-    for j in range(1, n + 1):
-        vals.append(vals[-1] * (n - j + 1) // j)
-    return tuple(vals)
-
-
-def _pollak_weight(a: int, i: int) -> int:
-    # a * (a + i)**(i - 1) with the i = 0 factor defined as 1; this is the
-    # count of defect-free sequences of i drivers on a + i - 1 spaces, so
-    # it is always a plain integer (no fractional intermediate).
-    if i == 0:
-        return 1
-    return a * (a + i) ** (i - 1)
 
 
 class DefectTable:
@@ -84,13 +66,13 @@ class DefectTable:
             raise ValueError("table bounds must be nonnegative")
         self.r_max = r_max
         self.s_max = s_max
-        self.k_max = k_max
         cols: list[list[list[int]]] = []
         for s in range(s_max + 1):
             k_cap = k_max + (s_max - s)
             if s > 0:
                 # binoms[k] pairs C(s+k, k+1), .., C(s+k, 0) with a(r, s-1, 0..k+1)
-                binoms = [pascal_row(s + k)[k + 1::-1] for k in range(k_cap + 1)]
+                binoms = [[math.comb(s + k, j) for j in range(k + 1, -1, -1)]
+                          for k in range(k_cap + 1)]
             col = []
             for r in range(r_max + 1):
                 vals = []
@@ -105,9 +87,6 @@ class DefectTable:
             cols.append(col)
         self._cols = cols
 
-    def covers(self, r: int, s: int, k: int) -> bool:
-        return r <= self.r_max and s <= self.s_max and k <= self.k_max
-
     def value(self, r: int, s: int, k: int) -> int:
         """a(r, s, k); negative indices give 0 by convention."""
         if r < 0 or s < 0 or k < 0:
@@ -120,26 +99,11 @@ class DefectTable:
         return vals[k]
 
 
-_SHARED_TABLE: DefectTable | None = None
-
-
-def _shared_table(r: int, s: int, k: int) -> DefectTable:
-    # Grows monotonically; a completed table is immutable, and rebinding
-    # the module global is atomic, so concurrent readers stay safe.
-    global _SHARED_TABLE
-    t = _SHARED_TABLE
-    if t is None or not t.covers(r, s, k):
-        have = (0, 0, 0) if t is None else (t.r_max, t.s_max, t.k_max)
-        t = DefectTable(max(r, have[0]), max(s, have[1]), max(k, have[2]))
-        _SHARED_TABLE = t
-    return t
-
-
 def table_value(r: int, s: int, k: int) -> int:
     """a(r, s, k): outcomes with r empty spaces, s occupied, k walkers."""
     if r < 0 or s < 0 or k < 0:
         return 0
-    return _shared_table(r, s, k).value(r, s, k)
+    return DefectTable(r, s, k).value(r, s, k)
 
 
 def _check_params(n: int, m: int, k: int = 0) -> None:
@@ -162,6 +126,22 @@ def defect_count_recurrence(n: int, m: int, k: int) -> int:
     return table_value(r, s, k)
 
 
+def _abel_sum(a: int, b: int, m: int, top: int) -> int:
+    """sum_{i=0}^{top} C(m, i) * a * (a + i)**(i-1) * (b - i)**(m-i).
+
+    The i = 0 weight a * a**-1 is taken as 1 and 0**0 = 1; every other
+    weight a * (a + i)**(i - 1), the count of defect-free sequences of i
+    drivers on a + i - 1 spaces, is a plain integer.  C(m, i) is walked
+    along the sum, one exact small divide per term.
+    """
+    total = 0
+    c = 1
+    for i in range(top + 1):
+        total += c * (a * (a + i) ** (i - 1) if i else 1) * (b - i) ** (m - i)
+        c = c * (m - i) // (i + 1)
+    return total
+
+
 def tail_sum(n: int, m: int, k: int) -> int:
     """Number of sequences with at least k walkers, S(n, m, k).
 
@@ -177,10 +157,7 @@ def tail_sum(n: int, m: int, k: int) -> int:
         return n ** m
     if k > m:
         return 0
-    a = n - m + k
-    row = pascal_row(m)
-    return sum(row[i] * _pollak_weight(a, i) * (m - k - i) ** (m - i)
-               for i in range(m - k + 1))
+    return _abel_sum(n - m + k, m - k, m, m - k)
 
 
 def tail_sum_alternating(n: int, m: int, k: int) -> int:
@@ -201,12 +178,12 @@ def tail_sum_alternating(n: int, m: int, k: int) -> int:
     if k > m:
         return 0
     a = n - m + k
-    row = pascal_row(m)
     acc = n ** m
-    sign = 1
+    sign = c = 1
     for i in range(k):
-        acc -= sign * row[i] * a * (k - i) ** i * (n + k - i) ** (m - 1 - i)
+        acc -= sign * c * a * (k - i) ** i * (n + k - i) ** (m - 1 - i)
         sign = -sign
+        c = c * (m - i) // (i + 1)
     assert acc >= 0, f"alternating tail sum went negative at {(n, m, k)}"
     return acc
 
@@ -238,10 +215,7 @@ def abel_identity_check(a: int, b: int, m: int) -> bool:
     """
     if a < 0 or b < 0 or m < 0:
         raise ValueError("a, b, m must be nonnegative")
-    row = pascal_row(m)
-    lhs = sum(row[i] * _pollak_weight(a, i) * (b - i) ** (m - i)
-              for i in range(m + 1))
-    return lhs == (a + b) ** m
+    return _abel_sum(a, b, m, m) == (a + b) ** m
 
 
 def tail_upper_bound_check(n: int, m: int, k: int) -> bool:
@@ -267,10 +241,6 @@ class DefectDistribution:
     def probabilities(self) -> list[float]:
         t = self.total
         return [ratio_as_float(c, t) for c in self.counts]
-
-    def tail_probability(self, k: int) -> float:
-        """P(defect >= k) as a float."""
-        return ratio_as_float(sum(self.counts[k:]), self.total)
 
 
 def _abel_tails(n: int, m: int) -> list[int]:
@@ -315,21 +285,12 @@ def defect_distribution(n: int, m: int) -> DefectDistribution:
 
 
 def ratio_as_float(num: int, den: int) -> float:
-    """num / den for (possibly huge) integers, without overflow.
+    """num / den for (possibly huge) integers, correctly rounded.
 
-    Shifts the numerator so the integer quotient keeps a 128-bit window,
-    divides exactly, and rescales; n**n overflows a double's exponent
-    near n = 144, so the operands must never be converted individually.
+    n**n overflows a double's exponent near n = 144, so the operands must
+    never be converted individually; Python's int true division divides
+    exactly and rounds once, subnormal quotients included.
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
-    if num == 0:
-        return 0.0
-    sign = -1.0 if num < 0 else 1.0
-    num = abs(num)
-    shift = den.bit_length() - num.bit_length() + 128
-    if shift >= 0:
-        q = (num << shift) // den
-    else:
-        q = num // (den << -shift)
-    return sign * math.ldexp(float(q), -shift)
+    return num / den

@@ -1,15 +1,8 @@
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
-# allow running the suite from a fresh checkout without installing
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-from parkfun import checks  # noqa: E402
+from parkfun import checks
 
 
 @pytest.fixture(scope="session")
