@@ -19,7 +19,8 @@ plain-text commands (table, verify) echo their configuration to stderr
 so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal
-of an over-cap enumeration.
+of an over-cap enumeration or of a coupon lot above COUPON_SPACE_CAP
+spaces.
 """
 
 from __future__ import annotations
@@ -296,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except simulate.EnumerationCapError as exc:
+    except simulate.BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP_REFUSED
     except ValueError as exc:

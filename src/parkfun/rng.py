@@ -125,14 +125,21 @@ class _Residues:
             np.add(self._steps[:len(z)], np.uint64((seed + word * GAMMA) & MASK64), out=z)
             _mix(z, self._t[:len(z)])
             word += len(z)
-            if self._limit is None or (keep := z < self._limit).all():
+            # one reduction tests the window; max raises on an empty one
+            if self._limit is None or not len(z) or z.max() < self._limit:
                 break
             # close up over the rejected words; the next pass fills the tail
-            kept = z[keep]
+            kept = z[z < self._limit]
             z[:len(kept)] = kept
             done += len(kept)
-        z = self._z[:count]
-        return np.remainder(z, self._n, out=z).view(np.int64), word
+        z, q = self._z[:count], self._t[:count]
+        # z mod n as z - (z // n) * n: numpy divides uint64 words by a scalar
+        # with a vectorized multiply-high and shift, but np.remainder takes
+        # one hardware divide per word
+        np.floor_divide(z, self._n, out=q)
+        q *= self._n
+        z -= q
+        return z.view(np.int64), word
 
 
 def uniform_block(seed: int, n: int, count: int) -> np.ndarray:

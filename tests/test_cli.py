@@ -1,6 +1,7 @@
 """CLI behavior: golden output, formats, determinism, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,14 @@ class TestCoupon:
         _, out, _ = run_cli(capsys, "coupon", "--n", "1", "--seed", "5")
         _, rows = csv_rows(out)
         assert rows[0]["cars"] == "1"
+
+    def test_lot_beyond_cap_is_refused(self, capsys):
+        # about 36 bytes a space: 10**10 spaces would need some 360 GB
+        for n in (10 ** 10, simulate.COUPON_SPACE_CAP + 1):
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, "coupon", "--n", str(n))
+            assert time.perf_counter() - t0 < 1.0
+            assert code == 3 and out == "" and "refused" in err
 
 
 class TestVerify:

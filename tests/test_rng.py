@@ -66,17 +66,35 @@ def test_residue_windows_match_stream():
         draws, word = residues.draws(seed, start, count)
         assert draws.tolist() == want.tolist()
         assert word == start + count
-    # about a quarter of all words are rejected at n = 2**62 + 1: a window
-    # drops them and reads on, and the next window starts where it stopped
-    n = (1 << 62) + 1
-    gen = SplitMix64(11)
-    want = [gen.uniform_int(n) - 1 for _ in range(64)]
+
+
+class _CountedWords(SplitMix64):
+    """The scalar generator, counting the words it has read."""
+
+    words = 0
+
+    def next_u64(self):
+        self.words += 1
+        return super().next_u64()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 59, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
+                               3 << 61, (1 << 62) + 1, (1 << 63) - 1, 1 << 63])
+def test_residue_windows_match_scalar_draws(n):
+    # two chained windows from a nonzero word, with an empty window between;
+    # about a quarter of all words are rejected at 3 * 2**61 and 2**62 + 1:
+    # a window drops them and reads on, the next starts where it stopped
+    gen = _CountedWords(5)
+    for _ in range(9):
+        gen.next_u64()
     residues = _Residues(n, 40)
-    first, word = residues.draws(11, 0, 40)
-    first = first.tolist()
-    rest, word = residues.draws(11, word, 24)
-    assert first + rest.tolist() == want
-    assert int(stream_u64(11, word, 1)[0]) == gen.next_u64()
+    word = gen.words
+    for count in (40, 0, 23):
+        want = [gen.uniform_int(n) - 1 for _ in range(count)]
+        draws, word = residues.draws(5, word, count)
+        assert draws.dtype == np.int64
+        assert draws.tolist() == want
+        assert word == gen.words
 
 
 def test_uniform_block_power_of_two_range():
