@@ -160,7 +160,8 @@ def check_exhaustive_oracle_small(cap: int = simulate.DEFAULT_ENUMERATION_CAP):
 
 
 def check_exhaustive_oracle_full(cap: int = simulate.DEFAULT_ENUMERATION_CAP):
-    return _enumeration_agrees(exhaustive_pairs(min(cap, 10 ** 6)), cap)
+    return _enumeration_agrees(
+        exhaustive_pairs(min(cap, simulate.DEFAULT_ENUMERATION_CAP)), cap)
 
 
 def check_park_implementations(instances: int = 2000, seed: int = 0xC0FFEE):

@@ -3,10 +3,10 @@
 Drivers are processed in order; each goes to their chosen space and, if
 it is taken, rolls forward to the first free space with a larger number,
 walking home when none exists.  This module provides the process itself
-(`park`, with a slow reference scan `park_naive`), exhaustive
-enumeration over all n**m preference sequences as the ground-truth
-oracle at small sizes, seeded Monte Carlo sampling at large sizes, and
-the "cars until the lot is full" experiment.
+(`park`, with a slow reference scan `park_naive`), an exhaustive tally
+of all n**m preference sequences as the ground-truth oracle at small
+sizes, seeded Monte Carlo sampling at large sizes, and the "cars until
+the lot is full" experiment.
 
 The defect of a sequence depends only on how many drivers chose each
 space: with c_j drivers choosing space j, the number of walkers is
@@ -21,13 +21,17 @@ choice in them.  Sorted, the same rule reads
 where c_(0) <= .. <= c_(m-1) are the 0-based choices in order: the
 suffix that starts at space c_(j) + 1 holds at least m - j choices in
 n - c_(j) spaces, and the worst suffix starts at a chosen space.  `park`
-and both forms are verified against each other in the tests; the
-vectorized enumeration and sampling paths evaluate the sorted form with
-numpy, in chunks of about CHUNK_WORDS choices so that each chunk stays
-in cache and memory does not grow with n; sampling draws every chunk
-from one pass over the block's stream, so chunking changes no draw.
-Rows are int32 while n <= 2**31 and int64 above; each path writes its
-chunks into one reused buffer.
+and both forms are verified against each other in the tests.
+
+Since the defect ignores order, enumeration visits each multiset of
+choices once, as a nondecreasing row that needs no sort, and counts it
+with its m! / prod(run lengths)! orderings: comb(n + m - 1, m) rows
+stand for the n**m sequences.  Sampling sorts each drawn row.  Both
+evaluate the sorted form with numpy, in chunks of about CHUNK_WORDS
+choices so that each chunk stays in cache and memory does not grow
+with n; sampling draws every chunk from one pass over the block's
+stream, so chunking changes no draw.  Rows are int32 while n <= 2**31
+and int64 above; each path writes its chunks into one reused buffer.
 
 The lot fills by the prefix form of the same rule (Konheim & Weiss,
 1966): after c cars every space is taken exactly when, for every j, at
@@ -41,6 +45,7 @@ c by binary search instead of parking car by car.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,27 +161,91 @@ def _row_dtype(n: int) -> type:
     return np.int32 if n <= 1 << 31 else np.int64
 
 
+def _sorted_defects(n: int, rows: np.ndarray) -> np.ndarray:
+    # rows: (count, m) int32 or int64 array, nondecreasing rows in 0..n-1; overwritten.
+    count, m = rows.shape
+    if m == 0:
+        return np.zeros(count, dtype=np.int64)
+    rows -= np.arange(m, dtype=rows.dtype)
+    return np.maximum(rows.max(axis=1) + np.int64(m - n), 0)
+
+
 def _defects_in_place(n: int, choices: np.ndarray) -> np.ndarray:
     # choices: (rows, m) int32 or int64 array with values in 0..n-1; sorted in place.
-    rows, m = choices.shape
-    if m == 0:
-        return np.zeros(rows, dtype=np.int64)
     choices.sort(axis=1)
-    choices -= np.arange(m, dtype=choices.dtype)
-    return np.maximum(choices.max(axis=1) + np.int64(m - n), 0)
+    return _sorted_defects(n, choices)
+
+
+def _multisets(n: int, m: int):
+    """Yield (rows, weights) chunks that hold every multiset of choices once.
+
+    Rows are the nondecreasing c_0 <= .. <= c_{m-1} over 0..n-1, about
+    CHUNK_WORDS choices per chunk, in colex order of the strictly
+    increasing x_j = c_j + j: row r is the one whose
+    sum_j comb(c_j + j, j + 1) is r, so column j, read from the top, is
+    the largest c with comb(c + j, j + 1) at most the rank left over.
+    weights[i] is the number of sequences that sort to rows[i],
+    m! / prod(run lengths)!, taken as the product over runs [s, e) of
+    comb(e, s): every partial product divides the weight, which is at
+    most n**m, so int64 holds them all while n**m < 2**63.  A chunk is
+    the transpose of one reused (m, rows) buffer, so that each column is
+    contiguous.
+    """
+    dtype = _row_dtype(n)
+    if n <= 1 or m == 0:
+        # one sequence: every driver picks space 1, or there are none.  Only
+        # these lots pass the 2**63 refusal with m > 62, too many for the
+        # m x m binomial table below
+        yield np.zeros((1, m), dtype=dtype), np.ones(1, dtype=np.int64)
+        return
+    # tables[j][c] = comb(c + j, j + 1) for c < n, each the running sum
+    # of the one before (hockey stick); column 0 is the rank itself, so
+    # no table of n entries is built for m = 1
+    tables = [None]
+    if m > 1:
+        table = np.arange(n, dtype=np.int64)
+        for _ in range(1, m):
+            table = np.concatenate(([0], np.cumsum(table[1:])))
+            tables.append(table)
+    binom = np.array([[math.comb(e, s) for s in range(m + 1)] for e in range(m + 1)],
+                     dtype=np.int64)
+    total = math.comb(n + m - 1, m)         # one row per multiset
+    rows = min(max(1, CHUNK_WORDS // m), total)
+    buf = np.empty((m, rows), dtype=dtype)
+    for first in range(0, total, rows):
+        rank = np.arange(first, min(first + rows, total), dtype=np.int64)
+        cols = buf[:, :len(rank)]
+        for j in range(m - 1, 0, -1):
+            c = tables[j].searchsorted(rank, side="right") - 1
+            rank -= tables[j][c]
+            cols[j] = c
+        cols[0] = rank
+        # walking down, the run [s, end) closes where column s - 1 differs;
+        # an open run takes comb(s, s) = 1, and the last run comb(end, 0) = 1
+        weights = np.ones(len(rank), dtype=np.int64)
+        end = np.full(len(rank), m)
+        for s in range(m - 1, 0, -1):
+            closed = cols[s - 1] != cols[s]
+            weights *= binom[:, s][np.where(closed, end, s)]
+            end[closed] = s
+        yield cols.T, weights
 
 
 def enumerate_exhaustive(n: int, m: int,
                          cap: int = DEFAULT_ENUMERATION_CAP) -> DefectDistribution:
     """Tally the defect of every one of the n**m preference sequences.
 
-    Refuses (rather than truncates) when n**m exceeds `cap`: a partial
-    enumeration is not an oracle.  Sequences are the base-n numerals of
-    0 .. n**m - 1, most significant digit first.  The low L digits run
-    through all n**L combinations, L as large as fits about CHUNK_WORDS
-    choices; that block is built once, and each chunk stacks copies of
-    it under as many high-digit prefixes as fit, so only the prefixes
-    are decoded.
+    The defect of a sequence depends only on its multiset of choices, so
+    each nondecreasing row c_0 <= .. <= c_{m-1} over 0..n-1 is visited
+    once, scored by the sorted rule with no sort, and counted with its
+    m! / prod(run lengths)! orderings: the same sum over all n**m
+    sequences, grouped by the row each sorts to.  Cost follows the
+    comb(n + m - 1, m) rows, not n**m.
+
+    Refuses (rather than truncates) when the n**m sequences exceed `cap`:
+    a partial enumeration is not an oracle.  The cap still counts
+    sequences, not rows.  Counts are exact int64, so n**m >= 2**63 is
+    refused whatever the cap.
     """
     if n < 0 or m < 0:
         raise ValueError("n, m must be nonnegative")
@@ -186,27 +255,12 @@ def enumerate_exhaustive(n: int, m: int,
     if total > cap:
         raise EnumerationCapError(
             f"{n}**{m} = {total} sequences exceeds the enumeration cap {cap}")
+    if total >= 1 << 63:
+        raise EnumerationCapError(
+            f"{n}**{m} = {total} sequences overflows the int64 counts")
     counts = np.zeros(m + 1, dtype=np.int64)
-    if m == 0 or n == 0:
-        counts[0] = 1
-        return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
-    rows = max(1, CHUNK_WORDS // m)
-    low, span = 0, 1
-    while low < m and span * n <= rows:
-        low, span = low + 1, span * n
-    high = m - low
-    prefixes = n ** high
-    per_chunk = rows // span
-    block = np.arange(span)[:, None] // n ** np.arange(low - 1, -1, -1) % n
-    places = n ** np.arange(high - 1, -1, -1)
-    buf = np.empty((per_chunk, span, m), dtype=_row_dtype(n))
-    for first in range(0, prefixes, per_chunk):
-        chunk = buf[:min(per_chunk, prefixes - first)]
-        chunk[:, :, high:] = block
-        chunk[:, :, :high] = (np.arange(first, first + len(chunk))[:, None, None]
-                              // places % n)
-        counts += np.bincount(_defects_in_place(n, chunk.reshape(-1, m)),
-                              minlength=m + 1)
+    for rows, weights in _multisets(n, m):
+        np.add.at(counts, _sorted_defects(n, rows), weights)
     return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
 
 

@@ -1,5 +1,6 @@
 """Process simulation against hand results, oracles, and exact counts."""
 
+import collections
 import itertools
 import json
 import math
@@ -134,31 +135,61 @@ def test_enumerate_wide_lot_within_budget():
     assert time.process_time() - t0 < 3.0
 
 
-@pytest.mark.parametrize("n, m, chunks, rows, last_rows", [
-    (3, 5, 1, 243, 243),          # the whole enumeration in one chunk
-    (3000, 1, 1, 3000, 3000),
-    (1, 9, 1, 1, 1),
-    (2, 20, 512, 2048, 2048),     # one high-digit prefix per chunk
-    (4, 8, 8, 8192, 8192),        # two prefixes per chunk
-    (7, 7, 115, 7203, 2401),      # three per chunk, one in the last
-    (5, 9, 313, 6250, 3125),      # two per chunk, one in the last
-    (1000, 2, 32, 32000, 8000),   # 32 per chunk, 8 in the last
+def test_enumerate_edge_lots_within_budget():
+    # one row of 10**6 choices; few multisets behind many sequences
+    t0 = time.process_time()
+    counts = simulate.enumerate_exhaustive(1, 10 ** 6).counts
+    assert time.process_time() - t0 < 1.0
+    assert counts[-2] == sum(counts) == 1
+    for n, m in [(2, 26), (3, 16)]:
+        t0 = time.process_time()
+        got = simulate.enumerate_exhaustive(n, m)
+        assert time.process_time() - t0 < 1.0
+        assert got == exact.defect_distribution(n, m)
+
+
+@pytest.mark.parametrize("n, m", [
+    (3, 5),
+    (3000, 1),
+    (1, 9),          # a single sequence
+    (2, 20),
+    (4, 8),
+    (7, 7),
+    (5, 9),
+    (1000, 2),       # 16 chunks, the last one short
 ])
-def test_enumerate_block_geometry(n, m, chunks, rows, last_rows, monkeypatch):
-    kernel = simulate._defects_in_place
-    scored = []
+def test_enumerate_visits_each_multiset_once(n, m, monkeypatch):
+    multisets = simulate._multisets
+    chunks = []
 
-    def spy(n, choices):
-        scored.append(choices.copy())
-        return kernel(n, choices)
+    def spy(n, m):
+        for rows, weights in multisets(n, m):
+            chunks.append((rows.copy(), weights.copy()))
+            yield rows, weights
 
-    monkeypatch.setattr(simulate, "_defects_in_place", spy)
+    monkeypatch.setattr(simulate, "_multisets", spy)
     assert simulate.enumerate_exhaustive(n, m) == exact.defect_distribution(n, m)
-    assert [len(c) for c in scored] == [rows] * (chunks - 1) + [last_rows]
+    assert all(rows.size <= simulate.CHUNK_WORDS for rows, _ in chunks)
+    rows = np.concatenate([rows for rows, _ in chunks])
+    weights = np.concatenate([weights for _, weights in chunks])
+    # distinct nondecreasing rows over 0..n-1, as many as there are multisets
+    assert (np.diff(rows, axis=1) >= 0).all() and rows.min() >= 0 and rows.max() < n
+    assert len(set(map(tuple, rows.tolist()))) == len(rows) == math.comb(n + m - 1, m)
+    assert weights.sum() == n ** m
     if n ** m * m <= 10 ** 6:
-        # every sequence once, in the order of its base-n numeral
-        want = np.arange(n ** m)[:, None] // n ** np.arange(m - 1, -1, -1) % n
-        assert (np.concatenate(scored) == want).all()
+        want = collections.Counter(tuple(sorted(s))
+                                   for s in itertools.product(range(n), repeat=m))
+        assert dict(zip(map(tuple, rows.tolist()), weights.tolist())) == want
+
+
+def test_enumerate_int64_limit():
+    # counts are int64: n**m = 2**62 is exact, 2**63 is refused at once
+    assert (simulate.enumerate_exhaustive(2, 62, cap=2 ** 63)
+            == exact.defect_distribution(2, 62))
+    t0 = time.process_time()
+    with pytest.raises(simulate.EnumerationCapError, match="int64"):
+        simulate.enumerate_exhaustive(2, 63, cap=2 ** 64)
+    assert time.process_time() - t0 < 1.0
 
 
 def test_enumerate_cap_refusal():
