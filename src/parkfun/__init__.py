@@ -30,7 +30,6 @@ from .exact import (
     defect_distribution,
     parking_function_count,
     ratio_as_float,
-    table_value,
     tail_sum,
     tail_sum_alternating,
     tail_upper_bound_check,
@@ -74,7 +73,6 @@ __all__ = [
     "rayleigh_cdf",
     "ratio_as_float",
     "sample_empirical",
-    "table_value",
     "tail_sum",
     "tail_sum_alternating",
     "tail_upper_bound_check",

@@ -10,9 +10,9 @@ this module is exact integer arithmetic; counts routinely exceed 64 bits
 Two independent routes to cp(n, m, k) are provided and cross-checked in
 the test suite:
 
-* a three-index recurrence over table_value(r, s, k), the number of
-  outcomes with r spaces left empty, s spaces occupied and k walkers,
-  where cp(n, m, k) = table_value(n - m + k, m - k, k);
+* a three-index recurrence over a(r, s, k), the number of outcomes
+  with r spaces left empty, s spaces occupied and k walkers, filled by
+  DefectTable, where cp(n, m, k) = a(n - m + k, m - k, k);
 * closed-form Abel-type partial sums tail_sum(n, m, k) counting the
   sequences with *at least* k walkers, so that
   cp(n, m, k) = tail_sum(n, m, k) - tail_sum(n, m, k + 1).
@@ -27,8 +27,8 @@ tail_sum_alternating the independent check.
 
 Each sum walks its own binomials, C(m, i + 1) = C(m, i) * (m - i) /
 (i + 1), so a point query costs its own terms and nothing more.  No
-state is kept between calls: table_value builds the table its query
-needs, and nothing is cached.
+state is kept between calls: defect_count_recurrence builds the table
+its query needs, and nothing is cached.
 
 Counts serialize as decimal strings, never as floats; ratio_as_float is
 the one sanctioned bridge from exact counts to IEEE doubles, and it is
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 
 class DefectTable:
-    """Dense table of table_value(r, s, k) filled by the recurrence.
+    """Dense table of a(r, s, k): outcomes with r empty spaces, s occupied, k walkers.
 
     The recurrence is
 
@@ -55,10 +55,22 @@ class DefectTable:
     s + k drivers present below the split, not r + k; the table built
     this way reproduces the n <= 10 reference values exactly.
 
-    Filling goes s ascending, then r ascending, then k ascending.  Since
-    the k-th entry in column s consumes entries up to k + 1 in column
-    s - 1, column s is filled up to k_max + (s_max - s), which makes
-    every stored value exact.
+    Filling goes s ascending, then k ascending.  Since the k-th entry in
+    column s consumes entries up to k + 1 in column s - 1, column s is
+    filled up to k_max + (s_max - s), which makes every stored value
+    exact.
+
+    The binomials do not depend on r, so each (s, k) cell is one int
+    holding a(r, s, k) for every r at once: bits w*r .. w*r + w - 1 are
+    lane r, for r = 0..r_max.  A stored a(r, s, k) is cp(r + s, s + k, k),
+    at most (r + s)**(s + k) <= (r_max + s_max)**(s_max + k_max) in every
+    column, so w = (s_max + k_max) * bitlen(r_max + s_max) + 1 bits hold
+    it.  One multiply of a packed cell by a small binomial then scales
+    every lane, and the k = 0 term, a prefix sum over r, is one multiply
+    by the word with a 1 in every lane, masked to r_max + 1 lanes.  Every
+    term is nonnegative and every partial sum is at most the entry it
+    builds, so no lane ever carries into its neighbour and the packed sums
+    are the lane-wise sums of the same recurrence.
     """
 
     def __init__(self, r_max: int, s_max: int, k_max: int):
@@ -66,24 +78,22 @@ class DefectTable:
             raise ValueError("table bounds must be nonnegative")
         self.r_max = r_max
         self.s_max = s_max
-        cols: list[list[list[int]]] = []
-        for s in range(s_max + 1):
-            k_cap = k_max + (s_max - s)
-            if s > 0:
-                # binoms[k] pairs C(s+k, k+1), .., C(s+k, 0) with a(r, s-1, 0..k+1)
-                binoms = [[math.comb(s + k, j) for j in range(k + 1, -1, -1)]
-                          for k in range(k_cap + 1)]
+        self._w = w = (s_max + k_max) * (r_max + s_max).bit_length() + 1
+        self._lane = (1 << w) - 1
+        lanes = (1 << w * (r_max + 1)) - 1
+        ones = lanes // self._lane          # a 1 in every lane
+        # column 0: a(r, 0, 0) = 1 for every r, and no walker without a driver
+        cols = [[ones] + [0] * (k_max + s_max)]
+        for s in range(1, s_max + 1):
+            prev = cols[-1]
             col = []
-            for r in range(r_max + 1):
-                vals = []
-                for k in range(k_cap + 1):
-                    v = 1 if (r == 0 and s == 0 and k == 0) else 0
-                    if k == 0 and r > 0:
-                        v += col[r - 1][0]
-                    if s > 0:
-                        v += sum(map(operator.mul, binoms[k], cols[s - 1][r]))
-                    vals.append(v)
-                col.append(vals)
+            for k in range(k_max + (s_max - s) + 1):
+                # C(s+k, k+1), .., C(s+k, 0) pair with a(., s-1, 0..k+1)
+                binoms = [math.comb(s + k, j) for j in range(k + 1, -1, -1)]
+                cell = sum(map(operator.mul, binoms, prev))
+                if k == 0:
+                    cell = cell * ones & lanes
+                col.append(cell)
             cols.append(col)
         self._cols = cols
 
@@ -93,17 +103,10 @@ class DefectTable:
             return 0
         if s > self.s_max or r > self.r_max:
             raise ValueError(f"({r},{s},{k}) outside table bounds")
-        vals = self._cols[s][r]
-        if k >= len(vals):
+        col = self._cols[s]
+        if k >= len(col):
             raise ValueError(f"({r},{s},{k}) outside table bounds")
-        return vals[k]
-
-
-def table_value(r: int, s: int, k: int) -> int:
-    """a(r, s, k): outcomes with r empty spaces, s occupied, k walkers."""
-    if r < 0 or s < 0 or k < 0:
-        return 0
-    return DefectTable(r, s, k).value(r, s, k)
+        return col[k] >> self._w * r & self._lane
 
 
 def _check_params(n: int, m: int, k: int = 0) -> None:
@@ -123,7 +126,7 @@ def defect_count_recurrence(n: int, m: int, k: int) -> int:
     r, s = n - m + k, m - k
     if r < 0 or s < 0:
         return 0
-    return table_value(r, s, k)
+    return DefectTable(r, s, k).value(r, s, k)
 
 
 def _abel_sum(a: int, b: int, m: int, top: int) -> int:

@@ -61,6 +61,8 @@ DEFAULT_ENUMERATION_CAP = 10 ** 8
 COUPON_SPACE_CAP = 10 ** 7
 SAMPLE_BLOCK_TRIALS = 4096
 CHUNK_WORDS = 1 << 16
+# a refusal prints n**m in full only below 2**_SHORT_POWER_BITS (77 digits)
+_SHORT_POWER_BITS = 256
 
 
 class BudgetError(ValueError):
@@ -120,21 +122,23 @@ def park(n: int, choices: Sequence[int]) -> ParkOutcome:
 
 
 def park_naive(n: int, choices: Sequence[int]) -> ParkOutcome:
-    """Reference O(n*m) scan implementation of the same process."""
+    """Reference O(n*m) scan implementation of the same process.
+
+    Each driver scans the free flags from the chosen space up, with no
+    pointer jumping; the scan runs in `bytearray.find`, and the flag at
+    n + 1 is a sentinel that is never taken, so finding it means the
+    driver walks.
+    """
     _check_choices(n, choices)
-    free = [True] * (n + 1)
+    free = bytearray(b"\x01") * (n + 2)
     assignment = []
     occupied = []
     for c in choices:
-        spot = None
-        for j in range(c, n + 1):
-            if free[j]:
-                spot = j
-                break
-        if spot is None:
+        spot = free.find(1, c)
+        if spot > n:
             assignment.append(None)
         else:
-            free[spot] = False
+            free[spot] = 0
             assignment.append(spot)
             occupied.append(spot)
     return ParkOutcome(n=n, assignment=tuple(assignment),
@@ -245,19 +249,26 @@ def enumerate_exhaustive(n: int, m: int,
     Refuses (rather than truncates) when the n**m sequences exceed `cap`:
     a partial enumeration is not an oracle.  The cap still counts
     sequences, not rows.  Counts are exact int64, so n**m >= 2**63 is
-    refused whatever the cap.
+    refused whatever the cap.  A power that is surely over the cap by
+    its bit length is refused without being built, and the message
+    prints a power's digits only when they are short.
     """
     if n < 0 or m < 0:
         raise ValueError("n, m must be nonnegative")
     if n == 0 and m > 0:
         raise ValueError("no spaces: the parking process is undefined")
-    total = n ** m
-    if total > cap:
+    # n**m >= 2**low: a power past the cap's bit length is over the cap, and
+    # one past _SHORT_POWER_BITS too is refused without being built
+    low = m * (n.bit_length() - 1)
+    total = n ** m if low < max(cap.bit_length(), _SHORT_POWER_BITS) else None
+    # the digits of a long power tell nothing, and past 4300 of them str() raises
+    power = (f"{n}**{m}" if total is None or total.bit_length() > _SHORT_POWER_BITS
+             else f"{n}**{m} = {total}")
+    if total is None or total > cap:
         raise EnumerationCapError(
-            f"{n}**{m} = {total} sequences exceeds the enumeration cap {cap}")
+            f"{power} sequences exceeds the enumeration cap {cap}")
     if total >= 1 << 63:
-        raise EnumerationCapError(
-            f"{n}**{m} = {total} sequences overflows the int64 counts")
+        raise EnumerationCapError(f"{power} sequences overflows the int64 counts")
     counts = np.zeros(m + 1, dtype=np.int64)
     for rows, weights in _multisets(n, m):
         np.add.at(counts, _sorted_defects(n, rows), weights)

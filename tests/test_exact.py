@@ -65,12 +65,12 @@ def test_reference_table_explicit():
 
 
 def test_table_base_case():
-    assert exact.table_value(0, 0, 0) == 1
+    assert exact.DefectTable(0, 0, 0).value(0, 0, 0) == 1
 
 
 def test_table_k0_slice_closed_form():
     # a(r, s, 0) = (r+1)(r+s+1)**(s-1); in particular a(1, 2, 0) = 2*4 = 8
-    assert exact.table_value(1, 2, 0) == 8
+    assert exact.DefectTable(1, 2, 0).value(1, 2, 0) == 8
 
 
 def test_table_against_process_oracle():
@@ -89,12 +89,12 @@ def test_table_against_process_oracle():
         if walked == 1 and free.count(False) == 2:
             hits += 1
     assert hits == 10
-    assert exact.table_value(1, 2, 1) == 10
+    assert exact.DefectTable(1, 2, 1).value(1, 2, 1) == 10
 
 
 def test_table_negative_indices_are_zero():
-    assert exact.table_value(-1, 0, 0) == 0
-    assert exact.table_value(0, -2, 1) == 0
+    assert exact.DefectTable(0, 0, 0).value(-1, 0, 0) == 0
+    assert exact.DefectTable(0, 0, 1).value(0, -2, 1) == 0
     table = exact.DefectTable(2, 2, 2)
     assert table.value(-1, 1, 1) == 0
 
@@ -107,6 +107,33 @@ def test_table_rejects_bad_bounds_and_out_of_range():
         table.value(3, 1, 0)
     with pytest.raises(ValueError):
         table.value(1, 1, 40)
+
+
+@pytest.mark.parametrize("bounds", [(0, 0, 0), (0, 6, 4), (6, 0, 4), (1, 1, 9),
+                                    (12, 3, 9), (3, 12, 2), (9, 9, 3)])
+def test_table_every_stored_cell_is_the_abel_count(bounds):
+    # a(r, s, k) = cp(r + s, s + k, k) in every lane of every stored cell,
+    # column 0 and each column's top k = k_max + s_max - s included
+    r_max, s_max, k_max = bounds
+    table = exact.DefectTable(*bounds)
+    for s in range(s_max + 1):
+        k_cap = k_max + s_max - s
+        for r in range(r_max + 1):
+            for k in range(k_cap + 1):
+                assert table.value(r, s, k) == exact.defect_count_explicit(
+                    r + s, s + k, k), (r, s, k)
+            with pytest.raises(ValueError):
+                table.value(r, s, k_cap + 1)
+
+
+def test_table_widest_lanes():
+    # s + k = s_max + k_max is the widest entry a lane must hold: a lane
+    # one bit too narrow would mask it, or carry into the next lane
+    table = exact.DefectTable(50, 50, 15)
+    for s in (1, 25, 50):
+        k = 65 - s
+        for r in (0, 49, 50):
+            assert table.value(r, s, k) == exact.defect_count_explicit(r + s, 65, k), (r, s)
 
 
 def test_defect_count_recurrence_examples():
@@ -261,7 +288,7 @@ def test_exact_queries_retain_no_memory():
     try:
         before = tracemalloc.get_traced_memory()[0]
         exact.tail_sum_alternating(3000, 3000, 3)
-        exact.table_value(30, 30, 10)
+        exact.DefectTable(30, 30, 10).value(30, 30, 10)
         exact.defect_distribution(200, 210)
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before

@@ -64,6 +64,15 @@ def test_park_matches_naive_exhaustively():
                 assert fast.defect == simulate.defect_by_suffix_counts(n, choices)
 
 
+def test_park_naive_walk_home_sentinel():
+    # drivers 2 and 5 find only the sentinel past space 3 and walk
+    naive = simulate.park_naive(3, [3, 3, 2, 1, 1])
+    assert naive.assignment == (3, None, 2, 1, None)
+    assert naive.defect == 2
+    assert naive == simulate.park(3, [3, 3, 2, 1, 1])
+    assert simulate.park_naive(0, ()).defect == 0
+
+
 def test_park_matches_naive_random_instances():
     gen = SplitMix64(2024)
     for _ in range(2000):
@@ -196,6 +205,19 @@ def test_enumerate_cap_refusal():
     with pytest.raises(simulate.EnumerationCapError, match="999"):
         simulate.enumerate_exhaustive(10, 12, cap=999)
     # refusal, not truncation: nothing is returned
+
+
+def test_enumerate_huge_lot_refused_unbuilt():
+    # n**m past the cap's bit length is refused before the power is built;
+    # 10**5000 has more digits than CPython will format
+    for m in (5000, 10 ** 8):
+        t0 = time.process_time()
+        with pytest.raises(simulate.EnumerationCapError, match=rf"^10\*\*{m} sequences"):
+            simulate.enumerate_exhaustive(10, m)
+        assert time.process_time() - t0 < 1.0
+    # under a cap wider than the power it is built, but its digits are left out
+    with pytest.raises(simulate.EnumerationCapError, match=r"^10\*\*5000 sequences overflows"):
+        simulate.enumerate_exhaustive(10, 5000, cap=10 ** 6000)
 
 
 def test_enumerate_degenerate():
