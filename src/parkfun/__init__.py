@@ -7,7 +7,12 @@ package computes these counts exactly by two independent closed routes,
 reproduces them by direct process simulation, and evaluates the limit
 laws they obey (Rayleigh tail at m = n, the tree-function full-lot
 curve, and fixed-defect ratio limits).
+
+The exact and asymptotic routes need only the standard library; the
+simulation names load numpy on first use.
 """
+
+import importlib
 
 from .asymptotic import (
     defect_ratio_limit,
@@ -33,16 +38,6 @@ from .exact import (
     tail_sum,
     tail_sum_alternating,
     tail_upper_bound_check,
-)
-from .simulate import (
-    EmpiricalDistribution,
-    EnumerationCapError,
-    ParkOutcome,
-    cars_until_full,
-    enumerate_exhaustive,
-    park,
-    park_naive,
-    sample_empirical,
 )
 
 __version__ = "0.1.0"
@@ -78,3 +73,33 @@ __all__ = [
     "tail_upper_bound_check",
     "tree_function",
 ]
+
+# simulate needs numpy, which the exact and asymptotic routes do not, so its
+# names are loaded on first access (PEP 562)
+_SIMULATE_EXPORTS = (
+    "EmpiricalDistribution",
+    "EnumerationCapError",
+    "ParkOutcome",
+    "cars_until_full",
+    "enumerate_exhaustive",
+    "park",
+    "park_naive",
+    "sample_empirical",
+)
+
+
+def __getattr__(name: str):
+    if name in ("rng", "simulate"):
+        # the submodules that load numpy, imported when first named
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SIMULATE_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulate
+    # bind every export at once, so later lookups are plain attribute reads
+    for attr in _SIMULATE_EXPORTS:
+        globals()[attr] = getattr(simulate, attr)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SIMULATE_EXPORTS))

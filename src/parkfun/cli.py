@@ -19,19 +19,21 @@ plain-text commands (table, verify) echo their configuration to stderr
 so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal
-of an over-cap enumeration or of a coupon lot above COUPON_SPACE_CAP
-spaces.
+(exact.BudgetError) of an over-cap enumeration or of a coupon lot above
+COUPON_SPACE_CAP spaces.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from . import asymptotic, checks, exact, simulate
-from .rng import sub_seed
+# simulate, rng and checks load numpy, so only the commands that use them
+# import them: the exact commands start without it
+from . import asymptotic, exact
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -176,6 +178,7 @@ def cmd_plotdata_fig2(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
     emp = simulate.sample_empirical(args.n, args.m, args.trials, args.seed)
     exact_probs = None
     if args.m * max(args.n.bit_length(), 1) <= _EXACT_COLUMN_BIT_LIMIT:
@@ -198,6 +201,8 @@ def cmd_simulate(args) -> int:
 def cmd_coupon(args) -> int:
     if args.trials < 1:
         raise ValueError("need at least one run")
+    from . import simulate
+    from .rng import sub_seed
     rows = []
     for i in range(args.trials):
         cars = simulate.cars_until_full(args.n, sub_seed(args.seed, i))
@@ -208,6 +213,7 @@ def cmd_coupon(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
     print("# config " + json.dumps(_config(args), sort_keys=True),
           file=sys.stderr)
     results = checks.run_suite(args.level, cap=args.cap)
@@ -220,7 +226,9 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="parkfun",
         description="Exact, asymptotic and simulated counts of defective "
@@ -297,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except simulate.BudgetError as exc:
+    except exact.BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP_REFUSED
     except ValueError as exc:

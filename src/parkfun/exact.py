@@ -33,6 +33,10 @@ its query needs, and nothing is cached.
 Counts serialize as decimal strings, never as floats; ratio_as_float is
 the one sanctioned bridge from exact counts to IEEE doubles, and it is
 correctly rounded.
+
+BudgetError, the refusal of a run past its stated size cap, is defined
+here rather than in simulate, so that the CLI can catch it without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -40,6 +44,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+
+
+class BudgetError(ValueError):
+    """Raised instead of starting a run beyond its stated size cap."""
 
 
 class DefectTable:

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import DefectDistribution
+from .exact import BudgetError, DefectDistribution
 from .rng import _Residues, sub_seed
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
@@ -61,12 +61,9 @@ DEFAULT_ENUMERATION_CAP = 10 ** 8
 COUPON_SPACE_CAP = 10 ** 7
 SAMPLE_BLOCK_TRIALS = 4096
 CHUNK_WORDS = 1 << 16
-# a refusal prints n**m in full only below 2**_SHORT_POWER_BITS (77 digits)
+# a refusal prints n**m and the cap in full only below 2**_SHORT_POWER_BITS
+# (77 digits)
 _SHORT_POWER_BITS = 256
-
-
-class BudgetError(ValueError):
-    """Raised instead of starting a run beyond its stated size cap."""
 
 
 class EnumerationCapError(BudgetError):
@@ -90,8 +87,10 @@ class ParkOutcome:
 def _check_choices(n: int, choices: Sequence[int]) -> None:
     if n < 0:
         raise ValueError("space count must be nonnegative")
+    # not chained: two plain compares run faster than `1 <= c <= n`, and
+    # than builtin min and max, on 3.11; a NaN still fails both
     for c in choices:
-        if not 1 <= c <= n:
+        if not (1 <= c and c <= n):
             raise ValueError(f"choice {c} outside 1..{n}")
 
 
@@ -251,7 +250,8 @@ def enumerate_exhaustive(n: int, m: int,
     sequences, not rows.  Counts are exact int64, so n**m >= 2**63 is
     refused whatever the cap.  A power that is surely over the cap by
     its bit length is refused without being built, and the message
-    prints a power's digits only when they are short.
+    prints the digits of the power and of the cap only when they are
+    short.
     """
     if n < 0 or m < 0:
         raise ValueError("n, m must be nonnegative")
@@ -261,12 +261,14 @@ def enumerate_exhaustive(n: int, m: int,
     # one past _SHORT_POWER_BITS too is refused without being built
     low = m * (n.bit_length() - 1)
     total = n ** m if low < max(cap.bit_length(), _SHORT_POWER_BITS) else None
-    # the digits of a long power tell nothing, and past 4300 of them str() raises
+    # the digits of a long number tell nothing, and past 4300 of them str() raises
     power = (f"{n}**{m}" if total is None or total.bit_length() > _SHORT_POWER_BITS
              else f"{n}**{m} = {total}")
     if total is None or total > cap:
+        limit = (cap if cap.bit_length() <= _SHORT_POWER_BITS
+                 else f"of {cap.bit_length()} bits")
         raise EnumerationCapError(
-            f"{power} sequences exceeds the enumeration cap {cap}")
+            f"{power} sequences exceeds the enumeration cap {limit}")
     if total >= 1 << 63:
         raise EnumerationCapError(f"{power} sequences overflows the int64 counts")
     counts = np.zeros(m + 1, dtype=np.int64)

@@ -311,3 +311,27 @@ class TestPlumbing:
         _, out1, _ = run_cli(capsys, "dist", "--n", "6", "--m", "6")
         _, out2, _ = run_cli(capsys, "dist", "--n", "6", "--m", "6")
         assert out1 == out2
+
+    def test_cached_parser_keeps_no_state(self, capsys):
+        # each run's output equals the same command's on a fresh parser, so
+        # no append default (--m, --n) leaks into the next call
+        sequence = [
+            (0, ["plotdata-fig1", "--n", "20", "--m", "5"]),
+            (0, ["plotdata-fig1", "--n", "20"]),
+            (0, ["plotdata-fig2", "--n", "12"]),
+            (0, ["plotdata-fig2"]),
+            (2, ["dist", "--n", "4"]),
+            (0, ["dist", "--n", "4", "--m", "4"]),
+        ]
+        alone = []
+        for _, argv in sequence:
+            cli._build_parser.cache_clear()
+            alone.append(run_cli(capsys, *argv))
+        assert cli._build_parser() is cli._build_parser()
+        for (code, argv), want in zip(sequence, alone):
+            got = run_cli(capsys, *argv)
+            assert got[0] == code and got == want
+        config = json.loads(alone[1][1].splitlines()[0].removeprefix("# config "))
+        assert config["m"] == [90, 100, 110]
+        config = json.loads(alone[3][1].splitlines()[0].removeprefix("# config "))
+        assert config["n"] == [10, 20]

@@ -50,6 +50,24 @@ def test_park_rejects_bad_choices():
         simulate.park(-1, ())
 
 
+@pytest.mark.parametrize("fn", [simulate.park, simulate.park_naive,
+                                simulate.defect_by_suffix_counts])
+@pytest.mark.parametrize("n, choices, bad", [
+    (3, (9, 2, 0), 9),          # first, with a later bad choice too
+    (3, (2, 0, 3, 5), 0),       # middle
+    (3, (1, 2, 3, 4), 4),       # last
+    (0, (1,), 1),               # no spaces: every choice is bad
+    (3, (1, float("nan")), "nan"),  # compares false both ways
+])
+def test_bad_choice_message_names_the_first(fn, n, choices, bad):
+    with pytest.raises(ValueError, match=rf"^choice {bad} outside 1\.\.{n}$"):
+        fn(n, choices)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fn(-1, ())
+    out = fn(n, ())             # no choices: nothing to check, on any lot
+    assert getattr(out, "defect", out) == 0
+
+
 def test_park_empty_sequence():
     out = simulate.park(4, ())
     assert out.defect == 0 and out.occupied == frozenset()
@@ -218,6 +236,16 @@ def test_enumerate_huge_lot_refused_unbuilt():
     # under a cap wider than the power it is built, but its digits are left out
     with pytest.raises(simulate.EnumerationCapError, match=r"^10\*\*5000 sequences overflows"):
         simulate.enumerate_exhaustive(10, 5000, cap=10 ** 6000)
+
+
+def test_enumerate_huge_cap_refused_unformatted():
+    # a cap past CPython's 4300-digit limit is given by its bit length
+    t0 = time.process_time()
+    with pytest.raises(simulate.EnumerationCapError,
+                       match=r"^1000000\*\*1000000 sequences exceeds the "
+                             r"enumeration cap of 33220 bits$"):
+        simulate.enumerate_exhaustive(10 ** 6, 10 ** 6, cap=10 ** 10000)
+    assert time.process_time() - t0 < 1.0
 
 
 def test_enumerate_degenerate():
