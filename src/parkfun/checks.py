@@ -138,6 +138,31 @@ def check_tail_upper_bound(n_max: int = 12, m_max: int = 12):
     return _ok()
 
 
+def check_ladder_split_agreement(n_max: int = 12, m_max: int = 14,
+                                 lots=((10 ** 12, 60), (200, 390), (50, 200), (330, 300))):
+    """The tail ladder agrees with itself at every split, and with the
+    alternating form at the split it picks."""
+    for n in range(1, n_max + 1):
+        for m in range(m_max + 1):
+            lo = max(0, m - n + 1)
+            want = [exact.tail_sum(n, m, k) for k in range(lo + 1, m + 1)]
+            for split in range(lo, m + 1):
+                if exact._abel_tails(n, m, split) != want:
+                    return _fail(f"tails at ({n},{m}) split {split} != tail_sum")
+    picked = []
+    for n, m in lots:
+        lo = max(0, m - n + 1)
+        split = exact._split(n, m, lo)
+        tails = exact._abel_tails(n, m, split)
+        # both ends of the alternating half, its middle, and the first Abel tail
+        ks = {lo + 1, (lo + split) // 2, split, split + 1} & set(range(lo + 1, m + 1))
+        for k in sorted(ks):
+            if tails[k - lo - 1] != exact.tail_sum_alternating(n, m, k):
+                return _fail(f"S({n},{m},{k}) at split {split} != alternating form")
+        picked.append(f"({n},{m}) lo={lo} split={split}")
+    return _ok("; ".join(picked))
+
+
 # ---------------------------------------------------------------------------
 # simulation vs exact
 
@@ -402,6 +427,7 @@ QUICK_CHECKS: list[tuple[str, Callable]] = [
 ]
 
 FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
+    ("ladder-split-agreement", check_ladder_split_agreement),
     ("exhaustive-oracle-full", check_exhaustive_oracle_full),
     ("park-implementations-10k", lambda: check_park_implementations(10 ** 4)),
     ("monte-carlo-calibration", check_monte_carlo_calibration),

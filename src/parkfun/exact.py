@@ -17,12 +17,19 @@ the test suite:
   sequences with *at least* k walkers, so that
   cp(n, m, k) = tail_sum(n, m, k) - tail_sum(n, m, k + 1).
 
-defect_distribution takes every k at once from the Abel route: one
+defect_distribution takes every k at once from the two Abel forms: one
 tail_sum call gives the widest nontrivial tail, and the others come from
-a shared term ladder (_abel_tails) in which each Abel term is its
-neighbour times a small integer, divided exactly by another, so the
-whole law costs about min(m, n)**2 / 2 cheap steps instead of m**2 / 2
-terms with big powers.  tail_sum stays the point query, and
+one chain ladder (_abel_tails).  At each k, Abel's identity splits n**m
+into tail_sum's nonnegative terms and tail_sum_alternating's signed
+ones, and both are terms R(i, j) = C(m, i) (n - j)**(i - 1) j**(m - i) on
+the anti-diagonal i + j = m - k: j >= 1 in Abel's form, j <= -1 in the
+alternating one.  Along each j the next term is its neighbour times a
+small integer, divided exactly by another.  Tails above a split take
+Abel's form (m - k - 1 terms) and the others the alternating one (k
+terms); the split, from a closed-form cost model, is m/2 at n = m and
+falls toward 0.29 m as n / m grows, so the whole law costs about
+(m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, half of Abel's form
+alone at n = m.  tail_sum stays the point query, and
 tail_sum_alternating the independent check.
 
 Each sum walks its own binomials, C(m, i + 1) = C(m, i) * (m - i) /
@@ -43,7 +50,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 
 class BudgetError(ValueError):
@@ -156,15 +162,16 @@ def _abel_sum(a: int, b: int, m: int, top: int) -> int:
 def tail_sum(n: int, m: int, k: int) -> int:
     """Number of sequences with at least k walkers, S(n, m, k).
 
-    Evaluates n**m when k <= m - n, and otherwise the nonnegative-term
-    Abel partial sum
+    Evaluates n**m when k <= max(0, m - n), since every sequence has at
+    least 0 walkers and at least m - n of them, and otherwise the
+    nonnegative-term Abel partial sum
 
         sum_{i=0}^{m-k} C(m, i) * a * (a + i)**(i-1) * (m - k - i)**(m-i)
 
     with a = n - m + k (positive in this branch) and 0**0 = 1.
     """
     _check_params(n, m, k)
-    if k <= m - n:
+    if k <= max(0, m - n):
         return n ** m
     if k > m:
         return 0
@@ -237,13 +244,44 @@ def tail_upper_bound_check(n: int, m: int, k: int) -> bool:
     return tail_sum(n, m, k) <= math.perm(m, k) * n ** (m - k)
 
 
-@dataclass(frozen=True)
 class DefectDistribution:
-    """Counts of sequences by defect k = 0..m for fixed (n, m)."""
+    """Counts of sequences by defect k = 0..m for fixed (n, m); read-only.
 
-    n: int
-    m: int
-    counts: tuple[int, ...]
+    A plain slotted record: `import dataclasses` would load inspect, ast
+    and tokenize for it.  Two records are equal, and hash alike, when n,
+    m and counts are.
+    """
+
+    __slots__ = ("n", "m", "counts")
+
+    def __init__(self, n: int, m: int, counts: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.n, self.m, self.counts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past the read-only __setattr__
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        return f"DefectDistribution(n={self.n!r}, m={self.m!r}, counts={self.counts!r})"
 
     @property
     def total(self) -> int:
@@ -254,35 +292,95 @@ class DefectDistribution:
         return [ratio_as_float(c, t) for c in self.counts]
 
 
-def _abel_tails(n: int, m: int) -> list[int]:
+def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int) -> None:
+    """Add R(i', j) = C(m, i') (n - j)**(i' - 1) j**(m - i') into sums[m - i' - j].
+
+    i' runs from i to top (1 <= i <= top <= m), and j is any nonzero
+    integer.  Only the first term takes powers; each later one is its
+    predecessor times a small integer, divided exactly by another:
+    R(i' + 1, j) = R(i', j) * (m - i')(n - j) / ((i' + 1) j).
+    """
+    r = math.comb(m, i) * (n - j) ** (i - 1) * j ** (m - i)
+    k = m - i - j
+    for i in range(i, top):
+        sums[k] += r
+        k -= 1
+        r = r * ((m - i) * (n - j)) // ((i + 1) * j)
+    sums[k] += r
+
+
+def _split(n: int, m: int, lo: int) -> int:
+    """Where _abel_tails hands the tails from the alternating form to Abel's.
+
+    In units of log(n) bits, a term R(i, j) is about (i - 1) + (m - i)rho
+    long, with rho = log(m) / log(n) standing in for log|j| / log(n).  A
+    step costs about its operand's length, so Abel's anti-diagonal at k,
+    with d = m - k terms, costs about (1 - rho)d**2/2 + rho*m*d, and the
+    alternating one, with k terms, m*k - (1 - rho)k**2/2.  The two are
+    equal at k = x*m with x = (1 + rho) / (2 + sqrt(2 + 2 rho**2)): 1/2 at
+    n = m, 1 - 1/sqrt(2) ~ 0.29 as n / m grows without bound, and below
+    1/sqrt(2) for every n, m.  The split is that k, but not below lo;
+    with one tail or none left past lo there is nothing to split.
+    """
+    if lo >= m - 1:
+        return lo
+    rho = math.log(m, n)
+    return max(lo, round(m * (1 + rho) / (2 + math.sqrt(2 + 2 * rho * rho))))
+
+
+def _abel_tails(n: int, m: int, split: int) -> list[int]:
     """[S(n, m, k) for k = lo + 1 .. m], with lo = max(0, m - n + 1).
 
-    With a = n - m + k and j = m - k - i, the Abel sum of tail_sum reads
+    With a = n - m + k, Abel's identity sum_i C(m, i) a (a + i)**(i - 1)
+    (m - k - i)**(m - i) = n**m splits at i = m - k into tail_sum's
+    nonnegative terms and tail_sum_alternating's signed ones.  Written
+    with j = m - k - i, both are chains of one term,
 
-        S(n, m, k) = (m - k)**m + a * sum_{i + j = m - k; i, j >= 1} R(i, j),
-        R(i, j) = C(m, i) * (n - j)**(i - 1) * j**(m - i),
+        R(i, j) = C(m, i) * (n - j)**(i - 1) * j**(m - i),   1 <= i <= m,
 
-    and along each j the next term is one small multiply and one exact
-    small divide, R(i + 1, j) = R(i, j) * (m - i)(n - j) / ((i + 1) j),
-    from R(1, j) = m * j**(m - 1).  Walking every j's chain once fills
-    all the sums together in about min(m, n)**2 / 2 such steps.
+    with j >= 1 in Abel's form and j <= -1 (i > m - k) in the alternating
+    one, so that on the anti-diagonal i + j = m - k
+
+        S(n, m, k) = (m - k)**m + a * sum_{i, j >= 1} R(i, j)
+                   = n**m - a * sum_{j <= -1} R(i, j).
+
+    In tail_sum_alternating's own terms, R(m - i, -j) = (-1)**i T(i, j)
+    with T(i, j) = C(m, i) j**i (n + j)**(m - 1 - i), i + j = k, j >= 1.
+
+    Along each j, _chain walks i upwards at one small multiply and one
+    exact small divide per step, R(i + 1, j) = R(i, j) (m - i)(n - j) /
+    ((i + 1) j).  The divide is exact because R(i + 1, j) is an integer
+    for every i < m.  On the alternating side this walks T down in its
+    i, T(i - 1, j) = T(i, j) i (n + j) / ((m - i + 1) j), so the divisor
+    is (m - i + 1) j and stays small; walking T up would divide by
+    (i + 1)(n + j), which is wide when n is.
+
+    Tails with k > split take Abel's form, from one chain per j = 1 ..
+    m - split - 2 that starts at R(1, j) = m j**(m - 1); the others take
+    the alternating one, from one chain per j = -1 .. -split that starts
+    fresh at k = split and stops at k = max(lo + 1, -j).  The law then
+    costs about (m - split)**2/2 + (split**2 - lo**2)/2 steps; _split
+    picks the split.  Every split in [lo, m] gives the same tails.
     """
     lo = max(0, m - n + 1)
     sums = [0] * (m + 1)
-    for j in range(1, m - lo - 1):
-        r = m * j ** (m - 1)
-        for i in range(1, m - lo - j):
-            sums[m - j - i] += r
-            r = r * ((m - i) * (n - j)) // ((i + 1) * j)
-    return [(m - k) ** m + (n - m + k) * sums[k] for k in range(lo + 1, m + 1)]
+    for j in range(1, m - split - 1):
+        _chain(sums, n, m, j, 1, m - split - 1 - j)
+    if split > lo:
+        for j in range(1, split + 1):
+            _chain(sums, n, m, -j, m - split + j, min(m, m - lo - 1 + j))
+    nm = n ** m
+    return ([nm - (n - m + k) * sums[k] for k in range(lo + 1, split + 1)]
+            + [(m - k) ** m + (n - m + k) * sums[k] for k in range(split + 1, m + 1)])
 
 
 def defect_distribution(n: int, m: int) -> DefectDistribution:
     """The full defect distribution for (n, m), from the closed forms.
 
     The widest Abel tail, S(n, m, lo) with lo = max(0, m - n + 1), is the
-    one tail_sum call; the narrower ones come from the shared term ladder
-    of _abel_tails, and every tail below lo is n**m.
+    one tail_sum call; the narrower ones come from the chain ladder of
+    _abel_tails, split where _split puts it, and every tail below lo is
+    n**m.
 
     n = 0 with drivers present is rejected (there is no parking process
     without spaces); n = m = 0 is the single empty assignment.
@@ -290,7 +388,7 @@ def defect_distribution(n: int, m: int) -> DefectDistribution:
     _check_lot(n, m)
     lo = max(0, m - n + 1)
     tails = ([n ** m] * lo + [tail_sum(n, m, lo)]
-             + _abel_tails(n, m) + [0])
+             + _abel_tails(n, m, _split(n, m, lo)) + [0])
     counts = tuple(tails[k] - tails[k + 1] for k in range(m + 1))
     return DefectDistribution(n, m, counts)
 

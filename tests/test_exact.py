@@ -6,8 +6,10 @@ against; the oracle simulator is written out locally so it shares no
 code with the package.
 """
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 import time
 import tracemalloc
@@ -155,6 +157,14 @@ def test_tail_sum_examples():
     assert sum(oracle_distribution(2, 3)[2:]) == 1
 
 
+def test_tail_sum_k0_is_every_sequence(monkeypatch):
+    # every sequence has at least 0 walkers, so k = 0 needs no Abel sum
+    monkeypatch.setattr(exact, "_abel_sum", None)
+    grid = [(n, m) for n in range(8) for m in range(11)] + [(10 ** 9, 40), (3, 50)]
+    for n, m in [(0, 0), (0, 3), (5, 0), (4, 9)] + grid:
+        assert exact.tail_sum(n, m, 0) == n ** m, (n, m)
+
+
 def test_tail_sum_alternating_closed_forms():
     assert exact.tail_sum_alternating(5, 5, 1) == 5 ** 5 - 6 ** 4 == 1829
     assert exact.tail_sum_alternating(6, 6, 5) == 1
@@ -240,6 +250,46 @@ def test_distribution_ladder_matches_alternating_form(n, m):
         want = (exact.tail_sum_alternating(n, m, k)
                 - exact.tail_sum_alternating(n, m, k + 1))
         assert counts[k] == want, k
+
+
+def test_split_rule():
+    assert exact._split(1000, 1000, 1) == 500                # rho = 1: m / 2
+    assert exact._split(330, 300, 0) == 149
+    for n, m in [(10 ** 9, 500), (10 ** 6, 300), (10 ** 12, 60)]:
+        assert 0.29 * m < exact._split(n, m, 0) <= 0.4 * m, (n, m)
+    assert exact._split(50, 200, 151) == 151                 # lo past the crossing
+    assert exact._split(200, 390, 191) == 201
+    for n, m in [(0, 0), (1, 0), (1, 7), (5, 0), (5, 1)]:
+        lo = max(0, m - n + 1)
+        assert exact._split(n, m, lo) == lo
+
+
+@pytest.mark.parametrize("n,m", [(37, 50), (60, 41), (45, 45), (10 ** 15, 30)])
+def test_ladder_every_split_gives_the_same_tails(n, m):
+    lo = max(0, m - n + 1)
+    want = [exact.tail_sum(n, m, k) for k in range(lo + 1, m + 1)]
+    for split in range(lo, m + 1):
+        assert exact._abel_tails(n, m, split) == want, split
+
+
+def test_distribution_record():
+    d = exact.defect_distribution(3, 2)
+    assert (d.n, d.m, d.counts, d.total) == (3, 2, (8, 1, 0), 9)
+    assert d.probabilities() == [8 / 9, 1 / 9, 0.0]
+    assert repr(d) == "DefectDistribution(n=3, m=2, counts=(8, 1, 0))"
+    same = exact.DefectDistribution(n=3, m=2, counts=(8, 1, 0))
+    assert d == same and hash(d) == hash(same) == hash((3, 2, (8, 1, 0)))
+    assert d != exact.DefectDistribution(3, 2, (7, 2, 0))
+    assert d != exact.DefectDistribution(4, 2, (8, 1, 0))
+    assert d != exact.DefectDistribution(3, 3, (8, 1, 0))
+    assert d != (3, 2, (8, 1, 0))
+    assert len({d, same}) == 1
+    for name in ("n", "m", "counts", "other"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(d, name)
+    assert copy.copy(d) == pickle.loads(pickle.dumps(d)) == d
 
 
 def test_distribution_budget_at_n_m_1000():

@@ -46,6 +46,13 @@ def test_import_leaves_numpy_out():
     assert set(parkfun.__all__) <= set(listed)      # listed before they load
 
 
+def test_import_leaves_dataclasses_out():
+    # dataclasses would pull in inspect, ast, dis and tokenize
+    proc = run_python("-c", "import sys, parkfun; print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_first_simulation_lookup_binds_every_export():
     code = ("import json, sys, parkfun; parkfun.ParkOutcome; "
             "print(json.dumps(['numpy' in sys.modules, sorted(vars(parkfun))]))")
