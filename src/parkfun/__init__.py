@@ -37,7 +37,6 @@ from .exact import (
     ratio_as_float,
     tail_sum,
     tail_sum_alternating,
-    tail_upper_bound_check,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "sample_empirical",
     "tail_sum",
     "tail_sum_alternating",
-    "tail_upper_bound_check",
     "tree_function",
 ]
 

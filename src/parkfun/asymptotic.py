@@ -21,6 +21,10 @@ import math
 
 TREE_ARG_MAX = math.exp(-1.0)
 
+# density_integral_check's adaptive Simpson: absolute tolerance, recursion depth
+_QUAD_TOL = 1e-9
+_QUAD_MAX_DEPTH = 40
+
 
 class QuadratureError(RuntimeError):
     """Adaptive integration failed to reach its tolerance."""
@@ -142,22 +146,12 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
             + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
 
 
-def integrate_adaptive(f, a: float, b: float, tol: float = 1e-9,
-                       max_depth: int = 40) -> float:
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tol."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def density_integral_check(x: float, y: float, tol: float = 1e-9) -> float:
+def density_integral_check(x: float, y: float) -> float:
     """Integral of limiting_density over alpha in (0, 1).
 
     Substitutes alpha = sin(theta)^2 to flatten the endpoint behavior,
-    then integrates adaptively; the result should equal the closed form
-    exp(-2x(x-y)) to well within 1e-6.
+    then integrates by adaptive Simpson to absolute tolerance 1e-9; the
+    result should equal the closed form exp(-2x(x-y)) to well within 1e-6.
     """
     if x <= y:
         raise ValueError("integral check requires x > y")
@@ -169,7 +163,11 @@ def density_integral_check(x: float, y: float, tol: float = 1e-9) -> float:
             return 0.0
         return limiting_density(x, y, alpha) * math.sin(2.0 * theta)
 
-    return integrate_adaptive(integrand, 0.0, 0.5 * math.pi, tol)
+    b = 0.5 * math.pi
+    fa, fm, fb = integrand(0.0), integrand(0.5 * b), integrand(b)
+    whole = b / 6.0 * (fa + 4.0 * fm + fb)
+    return _adaptive_simpson(integrand, 0.0, b, fa, fm, fb, whole,
+                             _QUAD_TOL, _QUAD_MAX_DEPTH)
 
 
 def full_lot_limit(lam: float) -> float:

@@ -19,8 +19,7 @@ plain-text commands (table, verify) echo their configuration to stderr
 so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal
-(exact.BudgetError) of an over-cap enumeration or of a coupon lot above
-COUPON_SPACE_CAP spaces.
+(exact.BudgetError) of a coupon lot above COUPON_SPACE_CAP spaces.
 """
 
 from __future__ import annotations
@@ -216,7 +215,7 @@ def cmd_verify(args) -> int:
     from . import checks
     print("# config " + json.dumps(_config(args), sort_keys=True),
           file=sys.stderr)
-    results = checks.run_suite(args.level, cap=args.cap)
+    results = checks.run_suite(args.level)
     lines = []
     for r in results:
         lines.append(f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}")
@@ -289,8 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-method invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--cap", type=int, default=None,
-                   help="enumeration cap forwarded to exhaustive checks")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -236,14 +236,6 @@ def abel_identity_check(a: int, b: int, m: int) -> bool:
     return _abel_sum(a, b, m, m) == (a + b) ** m
 
 
-def tail_upper_bound_check(n: int, m: int, k: int) -> bool:
-    """True iff tail_sum(n, m, k) <= m!/(m-k)! * n**(m-k), exactly."""
-    _check_params(n, m, k)
-    if k > m:
-        raise ValueError("bound requires k <= m")
-    return tail_sum(n, m, k) <= math.perm(m, k) * n ** (m - k)
-
-
 class DefectDistribution:
     """Counts of sequences by defect k = 0..m for fixed (n, m); read-only.
 

@@ -82,19 +82,6 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
-    """Raw outputs `start .. start+count-1` of the seed's stream, vectorized.
-
-    Bit-identical to `count` calls of SplitMix64(seed).next_u64() after
-    skipping `start` outputs; uint64 arithmetic wraps exactly like the
-    scalar mod-2**64 recipe.
-    """
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= np.uint64(GAMMA)
-    z += np.uint64(seed & MASK64)
-    return _mix(z, np.empty_like(z))
-
-
 class _Residues:
     """Uniform draws on 0..n-1 from a seed's stream, into buffers of `size`.
 

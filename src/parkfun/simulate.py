@@ -287,9 +287,6 @@ class EmpiricalDistribution:
     seed: int
     counts: tuple
 
-    def frequencies(self) -> list:
-        return [c / self.trials for c in self.counts]
-
     def tail_frequency(self, k: int) -> float:
         """Fraction of trials with defect >= k."""
         return sum(self.counts[k:]) / self.trials

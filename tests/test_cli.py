@@ -266,11 +266,6 @@ class TestVerify:
         assert f"FAIL pollak-consistency: {exc.__name__}: broken on purpose" in out
         assert out.splitlines()[-1].endswith("1 failed")
 
-    def test_cap_refusal_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--cap", "10")
-        assert code == 3
-        assert "cap" in err
-
 
 class TestTailSumTie:
     """Every exact CLI output passes through exact.tail_sum."""
@@ -297,6 +292,7 @@ class TestPlumbing:
         assert run_cli(capsys, "nope")[0] == 2                      # unknown command
         assert run_cli(capsys, "dist", "--n", "2", "--m", "2",
                        "--bogus", "1")[0] == 2                      # unknown flag
+        assert run_cli(capsys, "verify", "--cap", "10")[0] == 2     # removed flag
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "dist.csv"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from parkfun import exact, simulate
-from parkfun.rng import SplitMix64, stream_u64, sub_seed, uniform_block
+from parkfun.rng import SplitMix64, _Residues, sub_seed, uniform_block
 
 # Histograms of sample_empirical(n, m, trials, seed), trailing zeros cut;
 # they pin the stream recipe and the block partition.
@@ -130,29 +130,12 @@ def test_park_appending_driver_is_monotone():
             prev_defect, prev_occ = out.defect, len(out.occupied)
 
 
-def test_defect_invariant_under_permutations():
-    gen = SplitMix64(808)
-    for _ in range(25):
-        n = gen.uniform_int(6)
-        m = gen.uniform_int(6)
-        base = [gen.uniform_int(n) for _ in range(m)]
-        defects = {simulate.park(n, p).defect
-                   for p in set(itertools.permutations(base))}
-        assert len(defects) == 1
-
-
 def test_enumerate_examples():
     assert simulate.enumerate_exhaustive(2, 2).counts == (3, 1, 0)
     assert simulate.enumerate_exhaustive(2, 3).counts == (0, 7, 1, 0)
     for m in range(1, 7):
         counts = simulate.enumerate_exhaustive(1, m).counts
         assert counts[m - 1] == 1 and sum(counts) == 1
-
-
-def test_enumerate_matches_exact_distribution():
-    for n in range(1, 7):
-        for m in range(7):
-            assert simulate.enumerate_exhaustive(n, m) == exact.defect_distribution(n, m)
 
 
 def test_enumerate_wide_lot_within_budget():
@@ -279,14 +262,6 @@ def test_sample_tail_within_three_standard_errors():
     assert abs(emp.tail_frequency(10) - p) <= 3 * se
 
 
-def test_sample_matches_exact_frequencies_small_case():
-    emp = simulate.sample_empirical(2, 3, 10 ** 4, seed=1)
-    freqs = emp.frequencies()
-    assert freqs[0] == 0.0
-    assert abs(freqs[1] - 7 / 8) < 0.015
-    assert abs(freqs[2] - 1 / 8) < 0.015
-
-
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (6, 1), (40, 9), (9, 40),
                                   (30, 30), (3, 25), (500, 20)])
 def test_sorted_kernel_matches_suffix_counts_and_park(n, m):
@@ -355,12 +330,17 @@ def test_sample_rejection_past_first_chunk_replays_whole_block():
     # collide, so every histogram is all zeros whatever words are drawn;
     # test_sample_scores_the_accepted_stream checks the words.
     n, m, trials, seed = (1 << 63) - (1 << 46), 40, 5000, 9
-    limit = ((1 << 64) // n) * n
+
+    def words_read(index, count):
+        # count accepted draws read more than count words iff one was rejected
+        return _Residues(n, count).draws(sub_seed(seed, index), 0, count)[1]
+
+    chunk = (simulate.CHUNK_WORDS // m) * m
     block = simulate.SAMPLE_BLOCK_TRIALS * m
-    rejected = np.flatnonzero(stream_u64(sub_seed(seed, 0), 0, block) >= np.uint64(limit))
-    assert (simulate.CHUNK_WORDS // m) * m <= rejected[0] < block
-    assert not (stream_u64(sub_seed(seed, 1), 0, (trials - 4096) * m)
-                >= np.uint64(limit)).any()
+    tail = (trials - simulate.SAMPLE_BLOCK_TRIALS) * m
+    assert words_read(0, chunk) == chunk
+    assert words_read(0, block) > block
+    assert words_read(1, tail) == tail
     want = _scalar_replay(n, m, trials, seed, _walkers)
     assert simulate.sample_empirical(n, m, trials, seed).counts == want
 
