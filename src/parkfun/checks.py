@@ -152,7 +152,7 @@ def check_ladder_split_agreement(n_max: int = 12, m_max: int = 14,
     picked = []
     for n, m in lots:
         lo = max(0, m - n + 1)
-        split = exact._split(n, m, lo)
+        split = exact._split(n, m)
         tails = exact._abel_tails(n, m, split)
         # both ends of the alternating half, its middle, and the first Abel tail
         ks = {lo + 1, (lo + split) // 2, split, split + 1} & set(range(lo + 1, m + 1))
@@ -185,7 +185,7 @@ def check_exhaustive_oracle_small():
 
 
 def check_exhaustive_oracle_full():
-    return _enumeration_agrees(exhaustive_pairs(simulate.DEFAULT_ENUMERATION_CAP))
+    return _enumeration_agrees(exhaustive_pairs(simulate.ENUMERATION_CAP))
 
 
 def check_park_implementations(instances: int = 2000, seed: int = 0xC0FFEE):

@@ -17,25 +17,43 @@ the test suite:
   sequences with *at least* k walkers, so that
   cp(n, m, k) = tail_sum(n, m, k) - tail_sum(n, m, k + 1).
 
-defect_distribution takes every k at once from the two Abel forms: one
+Every Abel sum here is a sum of one term,
+
+    R(i, j) = C(m, i) * (n - j)**(i - 1) * j**(m - i),   1 <= i <= m,
+
+with 0**0 = 1.  Abel's binomial identity, for integers a, b, m >= 0 and
+n = a + b, reads
+
+    n**m = b**m + a * sum_{i=1}^{m} R(i, b - i),
+
+a sum along the anti-diagonal i + j = b (abel_identity_check tests it
+as written).  Take b = m - k and a = n - b.  Every sequence has at least
+max(0, m - n) walkers, so S(n, m, k) = n**m up to there; past it, for
+max(0, m - n) < k <= m, the identity splits n**m at the term j = 0,
+which vanishes, into
+
+    S(n, m, k) = b**m + a * sum_{i=1}^{b-1} R(i, b - i)      (tail_sum)
+               = n**m - a * sum_{i=b+1}^{m} R(i, b - i)      (tail_sum_alternating)
+
+Abel's form, the first, has m - k - 1 nonnegative terms (j >= 1); the
+alternating one has k terms of alternating sign (j <= -1).  _diagonal
+sums R along an anti-diagonal and walks C(m, i) along it, C(m, i + 1) =
+C(m, i) * (m - i) / (i + 1), so a point query costs its own terms and
+nothing more.
+
+defect_distribution takes every k at once from the two forms: one
 tail_sum call gives the widest nontrivial tail, and the others come from
-one chain ladder (_abel_tails).  At each k, Abel's identity splits n**m
-into tail_sum's nonnegative terms and tail_sum_alternating's signed
-ones, and both are terms R(i, j) = C(m, i) (n - j)**(i - 1) j**(m - i) on
-the anti-diagonal i + j = m - k: j >= 1 in Abel's form, j <= -1 in the
-alternating one.  Along each j the next term is its neighbour times a
-small integer, divided exactly by another.  Tails above a split take
-Abel's form (m - k - 1 terms) and the others the alternating one (k
-terms); the split, from a closed-form cost model, is m/2 at n = m and
-falls toward 0.29 m as n / m grows, so the whole law costs about
-(m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, half of Abel's form
-alone at n = m.  tail_sum stays the point query, and
+one chain ladder (_abel_tails) that walks R along each j instead, where
+the next term is its neighbour times a small integer, divided exactly by
+another.  Tails above a split take Abel's form and the others the
+alternating one; the split, from a closed-form cost model, is m/2 at
+n = m and falls toward 0.29 m as n / m grows, so the whole law costs
+about (m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, half of
+Abel's form alone at n = m.  tail_sum stays the point query, and
 tail_sum_alternating the independent check.
 
-Each sum walks its own binomials, C(m, i + 1) = C(m, i) * (m - i) /
-(i + 1), so a point query costs its own terms and nothing more.  No
-state is kept between calls: defect_count_recurrence builds the table
-its query needs, and nothing is cached.
+No state is kept between calls: defect_count_recurrence builds the
+table its query needs, and nothing is cached.
 
 Counts serialize as decimal strings, never as floats; ratio_as_float is
 the one sanctioned bridge from exact counts to IEEE doubles, and it is
@@ -143,18 +161,20 @@ def defect_count_recurrence(n: int, m: int, k: int) -> int:
     return DefectTable(r, s, k).value(r, s, k)
 
 
-def _abel_sum(a: int, b: int, m: int, top: int) -> int:
-    """sum_{i=0}^{top} C(m, i) * a * (a + i)**(i-1) * (b - i)**(m-i).
+def _term(n: int, m: int, i: int, j: int) -> int:
+    """R(i, j), the one term of every Abel sum (see the module docstring)."""
+    return math.comb(m, i) * (n - j) ** (i - 1) * j ** (m - i)
 
-    The i = 0 weight a * a**-1 is taken as 1 and 0**0 = 1; every other
-    weight a * (a + i)**(i - 1), the count of defect-free sequences of i
-    drivers on a + i - 1 spaces, is a plain integer.  C(m, i) is walked
-    along the sum, one exact small divide per term.
+
+def _diagonal(n: int, m: int, d: int, first: int, last: int) -> int:
+    """sum_{i=first}^{last} R(i, d - i), with 1 <= first; 0 if first > last.
+
+    C(m, i) is walked along the sum, one exact small divide per term.
     """
     total = 0
-    c = 1
-    for i in range(top + 1):
-        total += c * (a * (a + i) ** (i - 1) if i else 1) * (b - i) ** (m - i)
+    c = math.comb(m, first)
+    for i in range(first, last + 1):
+        total += c * (d - i) ** (m - i) * (n - d + i) ** (i - 1)
         c = c * (m - i) // (i + 1)
     return total
 
@@ -162,46 +182,34 @@ def _abel_sum(a: int, b: int, m: int, top: int) -> int:
 def tail_sum(n: int, m: int, k: int) -> int:
     """Number of sequences with at least k walkers, S(n, m, k).
 
-    Evaluates n**m when k <= max(0, m - n), since every sequence has at
-    least 0 walkers and at least m - n of them, and otherwise the
-    nonnegative-term Abel partial sum
-
-        sum_{i=0}^{m-k} C(m, i) * a * (a + i)**(i-1) * (m - k - i)**(m-i)
-
-    with a = n - m + k (positive in this branch) and 0**0 = 1.
+    n**m when k <= max(0, m - n), 0 when k > m, and otherwise Abel's
+    nonnegative form of the module docstring, m - k - 1 terms R(i, j)
+    with j >= 1.
     """
     _check_params(n, m, k)
     if k <= max(0, m - n):
         return n ** m
     if k > m:
         return 0
-    return _abel_sum(n - m + k, m - k, m, m - k)
+    b = m - k
+    return b ** m + (n - b) * _diagonal(n, m, b, 1, b - 1)
 
 
 def tail_sum_alternating(n: int, m: int, k: int) -> int:
-    """S(n, m, k) again, by the short alternating-sign rewrite.
+    """S(n, m, k) again, by the short alternating form.
 
-    For k > m - n this is
-
-        n**m - sum_{i=0}^{k-1} C(m, i) * (-1)**i * a * (k-i)**i
-                               * (n + k - i)**(m-1-i)
-
-    with a = n - m + k.  Exact signed arithmetic throughout; the result
-    must come out nonnegative, and a negative value would mean a bug, so
-    it is asserted.
+    n**m when k <= m - n, 0 when k > m, and otherwise the alternating
+    form of the module docstring, k signed terms R(i, j) with j <= -1.
+    The result must come out nonnegative, and a negative value would
+    mean a bug, so it is asserted.
     """
     _check_params(n, m, k)
     if k <= m - n:
         return n ** m
     if k > m:
         return 0
-    a = n - m + k
-    acc = n ** m
-    sign = c = 1
-    for i in range(k):
-        acc -= sign * c * a * (k - i) ** i * (n + k - i) ** (m - 1 - i)
-        sign = -sign
-        c = c * (m - i) // (i + 1)
+    b = m - k
+    acc = n ** m - (n - b) * _diagonal(n, m, b, b + 1, m)
     assert acc >= 0, f"alternating tail sum went negative at {(n, m, k)}"
     return acc
 
@@ -227,13 +235,14 @@ def parking_function_count(n: int, m: int) -> int:
 
 
 def abel_identity_check(a: int, b: int, m: int) -> bool:
-    """Exact check of sum C(m,i) a (a+i)**(i-1) (b-i)**(m-i) == (a+b)**m.
+    """Exact check of Abel's identity, b**m + a * sum R == (a + b)**m.
 
-    Integer instance; b - i goes negative for i > b, hence signed terms.
+    The sum runs along the whole anti-diagonal i + j = b, i = 1..m, so
+    j = b - i goes negative for i > b (see the module docstring).
     """
     if a < 0 or b < 0 or m < 0:
         raise ValueError("a, b, m must be nonnegative")
-    return _abel_sum(a, b, m, m) == (a + b) ** m
+    return b ** m + a * _diagonal(a + b, m, b, 1, m) == (a + b) ** m
 
 
 class DefectDistribution:
@@ -285,14 +294,14 @@ class DefectDistribution:
 
 
 def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int) -> None:
-    """Add R(i', j) = C(m, i') (n - j)**(i' - 1) j**(m - i') into sums[m - i' - j].
+    """Add R(i', j) into sums[m - i' - j] for i' = i .. top.
 
-    i' runs from i to top (1 <= i <= top <= m), and j is any nonzero
-    integer.  Only the first term takes powers; each later one is its
-    predecessor times a small integer, divided exactly by another:
+    1 <= i <= top <= m, and j is any nonzero integer.  Only the first
+    term takes powers; each later one is its predecessor times a small
+    integer, divided exactly by another:
     R(i' + 1, j) = R(i', j) * (m - i')(n - j) / ((i' + 1) j).
     """
-    r = math.comb(m, i) * (n - j) ** (i - 1) * j ** (m - i)
+    r = _term(n, m, i, j)
     k = m - i - j
     for i in range(i, top):
         sums[k] += r
@@ -301,7 +310,7 @@ def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int) -> None:
     sums[k] += r
 
 
-def _split(n: int, m: int, lo: int) -> int:
+def _split(n: int, m: int) -> int:
     """Where _abel_tails hands the tails from the alternating form to Abel's.
 
     In units of log(n) bits, a term R(i, j) is about (i - 1) + (m - i)rho
@@ -311,9 +320,11 @@ def _split(n: int, m: int, lo: int) -> int:
     alternating one, with k terms, m*k - (1 - rho)k**2/2.  The two are
     equal at k = x*m with x = (1 + rho) / (2 + sqrt(2 + 2 rho**2)): 1/2 at
     n = m, 1 - 1/sqrt(2) ~ 0.29 as n / m grows without bound, and below
-    1/sqrt(2) for every n, m.  The split is that k, but not below lo;
-    with one tail or none left past lo there is nothing to split.
+    1/sqrt(2) for every n, m.  The split is that k, but not below
+    lo = max(0, m - n + 1); with one tail or none left past lo there is
+    nothing to split.
     """
+    lo = max(0, m - n + 1)
     if lo >= m - 1:
         return lo
     rho = math.log(m, n)
@@ -323,36 +334,21 @@ def _split(n: int, m: int, lo: int) -> int:
 def _abel_tails(n: int, m: int, split: int) -> list[int]:
     """[S(n, m, k) for k = lo + 1 .. m], with lo = max(0, m - n + 1).
 
-    With a = n - m + k, Abel's identity sum_i C(m, i) a (a + i)**(i - 1)
-    (m - k - i)**(m - i) = n**m splits at i = m - k into tail_sum's
-    nonnegative terms and tail_sum_alternating's signed ones.  Written
-    with j = m - k - i, both are chains of one term,
+    Tails with k > split take Abel's form and the others the alternating
+    one (module docstring), but each sum is gathered along j instead of
+    along its anti-diagonal: _chain walks R(i, j) up in i at one small
+    multiply and one exact small divide per step, R(i + 1, j) = R(i, j)
+    (m - i)(n - j) / ((i + 1) j).  The divide is exact because R(i + 1, j)
+    is an integer for every i < m, and its divisor (i + 1)|j| stays small
+    on both sides; walking down in i would divide by (m - i + 1)(n - j),
+    which is wide when n is.
 
-        R(i, j) = C(m, i) * (n - j)**(i - 1) * j**(m - i),   1 <= i <= m,
-
-    with j >= 1 in Abel's form and j <= -1 (i > m - k) in the alternating
-    one, so that on the anti-diagonal i + j = m - k
-
-        S(n, m, k) = (m - k)**m + a * sum_{i, j >= 1} R(i, j)
-                   = n**m - a * sum_{j <= -1} R(i, j).
-
-    In tail_sum_alternating's own terms, R(m - i, -j) = (-1)**i T(i, j)
-    with T(i, j) = C(m, i) j**i (n + j)**(m - 1 - i), i + j = k, j >= 1.
-
-    Along each j, _chain walks i upwards at one small multiply and one
-    exact small divide per step, R(i + 1, j) = R(i, j) (m - i)(n - j) /
-    ((i + 1) j).  The divide is exact because R(i + 1, j) is an integer
-    for every i < m.  On the alternating side this walks T down in its
-    i, T(i - 1, j) = T(i, j) i (n + j) / ((m - i + 1) j), so the divisor
-    is (m - i + 1) j and stays small; walking T up would divide by
-    (i + 1)(n + j), which is wide when n is.
-
-    Tails with k > split take Abel's form, from one chain per j = 1 ..
-    m - split - 2 that starts at R(1, j) = m j**(m - 1); the others take
-    the alternating one, from one chain per j = -1 .. -split that starts
-    fresh at k = split and stops at k = max(lo + 1, -j).  The law then
-    costs about (m - split)**2/2 + (split**2 - lo**2)/2 steps; _split
-    picks the split.  Every split in [lo, m] gives the same tails.
+    Abel's form takes one chain per j = 1 .. m - split - 2 that starts at
+    R(1, j) = m j**(m - 1); the alternating one takes one chain per
+    j = -1 .. -split that starts fresh at k = split and stops at
+    k = max(lo + 1, -j).  The law then costs about (m - split)**2/2 +
+    (split**2 - lo**2)/2 steps; _split picks the split.  Every split in
+    [lo, m] gives the same tails.
     """
     lo = max(0, m - n + 1)
     sums = [0] * (m + 1)
@@ -379,8 +375,11 @@ def defect_distribution(n: int, m: int) -> DefectDistribution:
     """
     _check_lot(n, m)
     lo = max(0, m - n + 1)
+    # the ladder could give this tail too, 4-15 % faster at m >= n, but this
+    # call ties every exact CLI output to tail_sum: the CLI's TestTailSumTie
+    # and the benchmark's off-by-one tail_sum self-test both rely on it
     tails = ([n ** m] * lo + [tail_sum(n, m, lo)]
-             + _abel_tails(n, m, _split(n, m, lo)) + [0])
+             + _abel_tails(n, m, _split(n, m)) + [0])
     counts = tuple(tails[k] - tails[k + 1] for k in range(m + 1))
     return DefectDistribution(n, m, counts)
 

@@ -51,19 +51,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import BudgetError, DefectDistribution
+from .exact import BudgetError, DefectDistribution, _check_lot
 from .rng import _Residues, sub_seed
 
-DEFAULT_ENUMERATION_CAP = 10 ** 8
+# below 2**63, so the int64 counts of an enumeration stay exact
+ENUMERATION_CAP = 10 ** 8
 # cars_until_full holds about 36 bytes per space (10**7 spaces: 367 MB
 # peak, 4.5 s CPU on a 2-core Xeon), so a larger lot is refused rather
 # than left to exhaust memory
 COUPON_SPACE_CAP = 10 ** 7
 SAMPLE_BLOCK_TRIALS = 4096
 CHUNK_WORDS = 1 << 16
-# a refusal prints n**m and the cap in full only below 2**_SHORT_POWER_BITS
-# (77 digits)
-_SHORT_POWER_BITS = 256
 
 
 class EnumerationCapError(BudgetError):
@@ -234,8 +232,7 @@ def _multisets(n: int, m: int):
         yield cols.T, weights
 
 
-def enumerate_exhaustive(n: int, m: int,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> DefectDistribution:
+def enumerate_exhaustive(n: int, m: int) -> DefectDistribution:
     """Tally the defect of every one of the n**m preference sequences.
 
     The defect of a sequence depends only on its multiset of choices, so
@@ -245,32 +242,19 @@ def enumerate_exhaustive(n: int, m: int,
     sequences, grouped by the row each sorts to.  Cost follows the
     comb(n + m - 1, m) rows, not n**m.
 
-    Refuses (rather than truncates) when the n**m sequences exceed `cap`:
-    a partial enumeration is not an oracle.  The cap still counts
-    sequences, not rows.  Counts are exact int64, so n**m >= 2**63 is
-    refused whatever the cap.  A power that is surely over the cap by
-    its bit length is refused without being built, and the message
-    prints the digits of the power and of the cap only when they are
-    short.
+    Refuses (rather than truncates) when the n**m sequences exceed
+    ENUMERATION_CAP: a partial enumeration is not an oracle.  The cap
+    counts sequences, not rows.  A power that is over the cap by its bit
+    length is refused without being built.
     """
-    if n < 0 or m < 0:
-        raise ValueError("n, m must be nonnegative")
-    if n == 0 and m > 0:
-        raise ValueError("no spaces: the parking process is undefined")
-    # n**m >= 2**low: a power past the cap's bit length is over the cap, and
-    # one past _SHORT_POWER_BITS too is refused without being built
+    _check_lot(n, m)
+    # n**m >= 2**low, so a low past the cap's bit length is over the cap
     low = m * (n.bit_length() - 1)
-    total = n ** m if low < max(cap.bit_length(), _SHORT_POWER_BITS) else None
-    # the digits of a long number tell nothing, and past 4300 of them str() raises
-    power = (f"{n}**{m}" if total is None or total.bit_length() > _SHORT_POWER_BITS
-             else f"{n}**{m} = {total}")
-    if total is None or total > cap:
-        limit = (cap if cap.bit_length() <= _SHORT_POWER_BITS
-                 else f"of {cap.bit_length()} bits")
+    total = n ** m if low < ENUMERATION_CAP.bit_length() else None
+    if total is None or total > ENUMERATION_CAP:
+        power = f"{n}**{m}" if total is None else f"{n}**{m} = {total}"
         raise EnumerationCapError(
-            f"{power} sequences exceeds the enumeration cap {limit}")
-    if total >= 1 << 63:
-        raise EnumerationCapError(f"{power} sequences overflows the int64 counts")
+            f"{power} sequences exceeds the enumeration cap {ENUMERATION_CAP}")
     counts = np.zeros(m + 1, dtype=np.int64)
     for rows, weights in _multisets(n, m):
         np.add.at(counts, _sorted_defects(n, rows), weights)

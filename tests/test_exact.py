@@ -133,7 +133,7 @@ def test_tail_sum_examples():
 
 def test_tail_sum_k0_is_every_sequence(monkeypatch):
     # every sequence has at least 0 walkers, so k = 0 needs no Abel sum
-    monkeypatch.setattr(exact, "_abel_sum", None)
+    monkeypatch.setattr(exact, "_diagonal", None)
     grid = [(n, m) for n in range(8) for m in range(11)] + [(10 ** 9, 40), (3, 50)]
     for n, m in [(0, 0), (0, 3), (5, 0), (4, 9)] + grid:
         assert exact.tail_sum(n, m, 0) == n ** m, (n, m)
@@ -227,15 +227,14 @@ def test_distribution_ladder_matches_alternating_form(n, m):
 
 
 def test_split_rule():
-    assert exact._split(1000, 1000, 1) == 500                # rho = 1: m / 2
-    assert exact._split(330, 300, 0) == 149
+    assert exact._split(1000, 1000) == 500                   # rho = 1: m / 2
+    assert exact._split(330, 300) == 149
     for n, m in [(10 ** 9, 500), (10 ** 6, 300), (10 ** 12, 60)]:
-        assert 0.29 * m < exact._split(n, m, 0) <= 0.4 * m, (n, m)
-    assert exact._split(50, 200, 151) == 151                 # lo past the crossing
-    assert exact._split(200, 390, 191) == 201
+        assert 0.29 * m < exact._split(n, m) <= 0.4 * m, (n, m)
+    assert exact._split(50, 200) == 151                      # lo past the crossing
+    assert exact._split(200, 390) == 201
     for n, m in [(0, 0), (1, 0), (1, 7), (5, 0), (5, 1)]:
-        lo = max(0, m - n + 1)
-        assert exact._split(n, m, lo) == lo
+        assert exact._split(n, m) == max(0, m - n + 1)
 
 
 @pytest.mark.parametrize("n,m", [(37, 50), (60, 41), (45, 45), (10 ** 15, 30)])
