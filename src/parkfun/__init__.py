@@ -19,7 +19,6 @@ from .asymptotic import (
     density_integral_check,
     full_lot_limit,
     full_lot_series,
-    limiting_density,
     limiting_tail,
     phi,
     pmf_approx,
@@ -57,7 +56,6 @@ __all__ = [
     "enumerate_exhaustive",
     "full_lot_limit",
     "full_lot_series",
-    "limiting_density",
     "limiting_tail",
     "park",
     "park_naive",

@@ -113,20 +113,17 @@ def pmf_approx(n: int, m: int, k: int) -> float:
     return (2.0 / n) * (2 * k - m + n) * math.exp(-2.0 * k * (k - m + n) / n)
 
 
-def limiting_density(x: float, y: float, alpha: float) -> float:
+def _density(x: float, y: float, alpha: float) -> float:
     """Density, over the occupancy fraction alpha, of the tail limit.
 
     (x-y)/sqrt(2*pi*alpha^3*(1-alpha)) * exp(-(x-(1-alpha)y)^2/(2*alpha*(1-alpha)))
 
-    for 0 < alpha < 1 and x > y.  The endpoint singularities are
-    integrable and belong to the quadrature routine, not this evaluator.
+    for 0 < alpha < 1 and x > y, which density_integral_check, the one
+    caller, ensures.  The endpoint singularities are integrable and
+    belong to the quadrature routine, not this evaluator.
     """
-    if x <= y:
-        raise ValueError("density requires x > y")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     expo = -((x - (1.0 - alpha) * y) ** 2) / (2.0 * alpha * (1.0 - alpha))
-    if expo < -745.0:  # exp underflows; the vanishing factor wins
+    if expo < -745.0:  # exp underflows; at tiny alpha, alpha**3 too, a 0 divisor
         return 0.0
     return (x - y) / math.sqrt(2.0 * math.pi * alpha ** 3 * (1.0 - alpha)) \
         * math.exp(expo)
@@ -147,7 +144,7 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def density_integral_check(x: float, y: float) -> float:
-    """Integral of limiting_density over alpha in (0, 1).
+    """Integral of _density over alpha in (0, 1).
 
     Substitutes alpha = sin(theta)^2 to flatten the endpoint behavior,
     then integrates by adaptive Simpson to absolute tolerance 1e-9; the
@@ -161,7 +158,7 @@ def density_integral_check(x: float, y: float) -> float:
         alpha = s * s
         if alpha <= 0.0 or alpha >= 1.0:
             return 0.0
-        return limiting_density(x, y, alpha) * math.sin(2.0 * theta)
+        return _density(x, y, alpha) * math.sin(2.0 * theta)
 
     b = 0.5 * math.pi
     fa, fm, fb = integrand(0.0), integrand(0.5 * b), integrand(b)

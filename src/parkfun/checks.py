@@ -4,7 +4,8 @@ Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
 series vs root-finding, quadrature vs closed form.  A check returns
 (passed, detail): the miss, or for some checks what a pass measured.
-Suites are plain lists of named checks; the CLI and the tests run each.
+Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
+`verify` runs one of them, and the tests run each check by name.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -15,18 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import asymptotic, exact, simulate
 from .rng import SplitMix64, sub_seed
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 def _fail(detail: str) -> tuple[bool, str]:
@@ -435,23 +428,3 @@ FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
     ("tail-trend", check_tail_trend),
     ("phi-consistency", check_phi_consistency),
 ]
-
-
-def run_suite(level: str = "quick") -> list[CheckResult]:
-    """Run the named level's checks in order.
-
-    A check that raises fails with the exception's type and message as
-    its detail.
-    """
-    if level not in ("quick", "full"):
-        raise ValueError("level must be 'quick' or 'full'")
-    suite = QUICK_CHECKS if level == "quick" else FULL_CHECKS
-    results = []
-    for name, fn in suite:
-        try:
-            passed, detail = fn()
-        except Exception as exc:
-            # a check that raises is a failed check, reported like the rest
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name=name, passed=passed, detail=detail))
-    return results

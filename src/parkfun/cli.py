@@ -215,12 +215,18 @@ def cmd_verify(args) -> int:
     from . import checks
     print("# config " + json.dumps(_config(args), sort_keys=True),
           file=sys.stderr)
-    results = checks.run_suite(args.level)
+    suite = checks.QUICK_CHECKS if args.level == "quick" else checks.FULL_CHECKS
     lines = []
-    for r in results:
-        lines.append(f"PASS {r.name}" if r.passed else f"FAIL {r.name}: {r.detail}")
-    failed = sum(1 for r in results if not r.passed)
-    lines.append(f"{len(results) - failed} passed, {failed} failed")
+    failed = 0
+    for name, fn in suite:
+        try:
+            passed, detail = fn()
+        except Exception as exc:
+            # a check that raises is a failed check, reported like the rest
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
+        lines.append(f"PASS {name}" if passed else f"FAIL {name}: {detail}")
+        failed += not passed
+    lines.append(f"{len(suite) - failed} passed, {failed} failed")
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 

@@ -37,7 +37,7 @@ which vanishes, into
 
 Abel's form, the first, has m - k - 1 nonnegative terms (j >= 1); the
 alternating one has k terms of alternating sign (j <= -1).  _diagonal
-sums R along an anti-diagonal and walks C(m, i) along it, C(m, i + 1) =
+yields R along an anti-diagonal and walks C(m, i) along it, C(m, i + 1) =
 C(m, i) * (m - i) / (i + 1), so a point query costs its own terms and
 nothing more.
 
@@ -130,15 +130,11 @@ class DefectTable:
         self._cols = cols
 
     def value(self, r: int, s: int, k: int) -> int:
-        """a(r, s, k); negative indices give 0 by convention."""
-        if r < 0 or s < 0 or k < 0:
-            return 0
-        if s > self.s_max or r > self.r_max:
+        """a(r, s, k) for a stored cell; any other index, negative too, is refused."""
+        if not (0 <= r <= self.r_max and 0 <= s <= self.s_max
+                and 0 <= k < len(self._cols[s])):
             raise ValueError(f"({r},{s},{k}) outside table bounds")
-        col = self._cols[s]
-        if k >= len(col):
-            raise ValueError(f"({r},{s},{k}) outside table bounds")
-        return col[k] >> self._w * r & self._lane
+        return self._cols[s][k] >> self._w * r & self._lane
 
 
 def _check_params(n: int, m: int, k: int = 0) -> None:
@@ -161,22 +157,15 @@ def defect_count_recurrence(n: int, m: int, k: int) -> int:
     return DefectTable(r, s, k).value(r, s, k)
 
 
-def _term(n: int, m: int, i: int, j: int) -> int:
-    """R(i, j), the one term of every Abel sum (see the module docstring)."""
-    return math.comb(m, i) * (n - j) ** (i - 1) * j ** (m - i)
+def _diagonal(n: int, m: int, d: int, first: int, last: int):
+    """Yield R(i, d - i) for i = first..last, with 1 <= first; none if first > last.
 
-
-def _diagonal(n: int, m: int, d: int, first: int, last: int) -> int:
-    """sum_{i=first}^{last} R(i, d - i), with 1 <= first; 0 if first > last.
-
-    C(m, i) is walked along the sum, one exact small divide per term.
+    C(m, i) is walked along the diagonal, one exact small divide per term.
     """
-    total = 0
     c = math.comb(m, first)
     for i in range(first, last + 1):
-        total += c * (d - i) ** (m - i) * (n - d + i) ** (i - 1)
+        yield c * (d - i) ** (m - i) * (n - d + i) ** (i - 1)
         c = c * (m - i) // (i + 1)
-    return total
 
 
 def tail_sum(n: int, m: int, k: int) -> int:
@@ -192,7 +181,7 @@ def tail_sum(n: int, m: int, k: int) -> int:
     if k > m:
         return 0
     b = m - k
-    return b ** m + (n - b) * _diagonal(n, m, b, 1, b - 1)
+    return b ** m + (n - b) * sum(_diagonal(n, m, b, 1, b - 1))
 
 
 def tail_sum_alternating(n: int, m: int, k: int) -> int:
@@ -209,7 +198,7 @@ def tail_sum_alternating(n: int, m: int, k: int) -> int:
     if k > m:
         return 0
     b = m - k
-    acc = n ** m - (n - b) * _diagonal(n, m, b, b + 1, m)
+    acc = n ** m - (n - b) * sum(_diagonal(n, m, b, b + 1, m))
     assert acc >= 0, f"alternating tail sum went negative at {(n, m, k)}"
     return acc
 
@@ -242,7 +231,7 @@ def abel_identity_check(a: int, b: int, m: int) -> bool:
     """
     if a < 0 or b < 0 or m < 0:
         raise ValueError("a, b, m must be nonnegative")
-    return b ** m + a * _diagonal(a + b, m, b, 1, m) == (a + b) ** m
+    return b ** m + a * sum(_diagonal(a + b, m, b, 1, m)) == (a + b) ** m
 
 
 class DefectDistribution:
@@ -293,15 +282,13 @@ class DefectDistribution:
         return [ratio_as_float(c, t) for c in self.counts]
 
 
-def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int) -> None:
-    """Add R(i', j) into sums[m - i' - j] for i' = i .. top.
+def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int, r: int) -> None:
+    """Add R(i', j) into sums[m - i' - j] for i' = i .. top, given r = R(i, j).
 
-    1 <= i <= top <= m, and j is any nonzero integer.  Only the first
-    term takes powers; each later one is its predecessor times a small
-    integer, divided exactly by another:
-    R(i' + 1, j) = R(i', j) * (m - i')(n - j) / ((i' + 1) j).
+    1 <= i <= top <= m, and j is any nonzero integer.  Each term after
+    the first is its predecessor times a small integer, divided exactly
+    by another: R(i' + 1, j) = R(i', j) * (m - i')(n - j) / ((i' + 1) j).
     """
-    r = _term(n, m, i, j)
     k = m - i - j
     for i in range(i, top):
         sums[k] += r
@@ -345,18 +332,20 @@ def _abel_tails(n: int, m: int, split: int) -> list[int]:
 
     Abel's form takes one chain per j = 1 .. m - split - 2 that starts at
     R(1, j) = m j**(m - 1); the alternating one takes one chain per
-    j = -1 .. -split that starts fresh at k = split and stops at
-    k = max(lo + 1, -j).  The law then costs about (m - split)**2/2 +
-    (split**2 - lo**2)/2 steps; _split picks the split.  Every split in
-    [lo, m] gives the same tails.
+    j = -1 .. -split that starts at k = split and stops at
+    k = max(lo + 1, -j).  Those chains start on the anti-diagonal
+    i + j = m - split, so one _diagonal walk gives every seed.  The law
+    then costs about (m - split)**2/2 + (split**2 - lo**2)/2 steps;
+    _split picks the split.  Every split in [lo, m] gives the same tails.
     """
     lo = max(0, m - n + 1)
     sums = [0] * (m + 1)
     for j in range(1, m - split - 1):
-        _chain(sums, n, m, j, 1, m - split - 1 - j)
+        _chain(sums, n, m, j, 1, m - split - 1 - j, m * j ** (m - 1))
     if split > lo:
-        for j in range(1, split + 1):
-            _chain(sums, n, m, -j, m - split + j, min(m, m - lo - 1 + j))
+        seeds = _diagonal(n, m, m - split, m - split + 1, m)
+        for j, r in zip(range(1, split + 1), seeds):
+            _chain(sums, n, m, -j, m - split + j, min(m, m - lo - 1 + j), r)
     nm = n ** m
     return ([nm - (n - m + k) * sums[k] for k in range(lo + 1, split + 1)]
             + [(m - k) ** m + (n - m + k) * sums[k] for k in range(split + 1, m + 1)])

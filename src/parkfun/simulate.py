@@ -73,13 +73,20 @@ class ParkOutcome:
     """Result of running the process on one preference sequence.
 
     `assignment[i]` is the space taken by driver i (1-based spaces), or
-    None if the driver walked.
+    None if the driver walked; the occupied spaces and the defect are
+    read off it.
     """
 
     n: int
     assignment: tuple
-    occupied: frozenset
-    defect: int
+
+    @property
+    def occupied(self) -> frozenset:
+        return frozenset(self.assignment) - {None}
+
+    @property
+    def defect(self) -> int:
+        return self.assignment.count(None)
 
 
 def _check_choices(n: int, choices: Sequence[int]) -> None:
@@ -101,7 +108,6 @@ def park(n: int, choices: Sequence[int]) -> ParkOutcome:
     _check_choices(n, choices)
     nxt = list(range(n + 2))
     assignment = []
-    occupied = []
     for j in choices:
         # first free space at or after j; path halving changes no root
         while nxt[j] != j:
@@ -109,13 +115,10 @@ def park(n: int, choices: Sequence[int]) -> ParkOutcome:
             j = nxt[j]
         if j <= n:
             assignment.append(j)
-            occupied.append(j)
             nxt[j] = j + 1
         else:
             assignment.append(None)
-    return ParkOutcome(n=n, assignment=tuple(assignment),
-                       occupied=frozenset(occupied),
-                       defect=len(choices) - len(occupied))
+    return ParkOutcome(n, tuple(assignment))
 
 
 def park_naive(n: int, choices: Sequence[int]) -> ParkOutcome:
@@ -129,7 +132,6 @@ def park_naive(n: int, choices: Sequence[int]) -> ParkOutcome:
     _check_choices(n, choices)
     free = bytearray(b"\x01") * (n + 2)
     assignment = []
-    occupied = []
     for c in choices:
         spot = free.find(1, c)
         if spot > n:
@@ -137,10 +139,7 @@ def park_naive(n: int, choices: Sequence[int]) -> ParkOutcome:
         else:
             free[spot] = 0
             assignment.append(spot)
-            occupied.append(spot)
-    return ParkOutcome(n=n, assignment=tuple(assignment),
-                       occupied=frozenset(occupied),
-                       defect=len(choices) - len(occupied))
+    return ParkOutcome(n, tuple(assignment))
 
 
 def defect_by_suffix_counts(n: int, choices: Sequence[int]) -> int:
@@ -194,9 +193,9 @@ def _multisets(n: int, m: int):
     """
     dtype = _row_dtype(n)
     if n <= 1 or m == 0:
-        # one sequence: every driver picks space 1, or there are none.  Only
-        # these lots pass the 2**63 refusal with m > 62, too many for the
-        # m x m binomial table below
+        # one sequence: every driver picks space 1, or there are none.  For
+        # m > 26 only n = 1 passes ENUMERATION_CAP, at any m, too large for
+        # the m x m int64 binomial table below
         yield np.zeros((1, m), dtype=dtype), np.ones(1, dtype=np.int64)
         return
     # tables[j][c] = comb(c + j, j + 1) for c < n, each the running sum
@@ -272,7 +271,9 @@ class EmpiricalDistribution:
     counts: tuple
 
     def tail_frequency(self, k: int) -> float:
-        """Fraction of trials with defect >= k."""
+        """Fraction of trials with defect >= k, for k >= 0."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
         return sum(self.counts[k:]) / self.trials
 
 

@@ -103,19 +103,12 @@ class TestPmfApprox:
 class TestDensity:
     def test_pinned_value(self):
         # multiprecision evaluation of the closed form at (1, 0, 1/2)
-        assert abs(asymptotic.limiting_density(1.0, 0.0, 0.5)
+        assert abs(asymptotic._density(1.0, 0.0, 0.5)
                    - 0.2159638660527522078022568) <= 1e-15
 
     def test_positive_on_grid(self):
         for i in range(1, 50):
-            assert asymptotic.limiting_density(1.0, 0.0, i / 50) >= 0.0
-
-    def test_domain_errors(self):
-        for alpha in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                asymptotic.limiting_density(1.0, 0.0, alpha)
-        with pytest.raises(ValueError):
-            asymptotic.limiting_density(0.5, 1.0, 0.5)
+            assert asymptotic._density(1.0, 0.0, i / 50) >= 0.0
 
     @pytest.mark.parametrize("x,y", [(1.0, 0.0), (2.0, 1.0), (0.3, -0.5)])
     def test_integral_matches_closed_form(self, x, y):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from parkfun import cli, exact, simulate
+from parkfun import checks, cli, exact, simulate
 
 GOLDEN = Path(__file__).parent / "data" / "table1_golden.txt"
 
@@ -265,6 +265,17 @@ class TestVerify:
         assert code == 1
         assert f"FAIL pollak-consistency: {exc.__name__}: broken on purpose" in out
         assert out.splitlines()[-1].endswith("1 failed")
+
+    def test_full_level_reports_each_check(self, capsys, monkeypatch):
+        def broken():
+            raise RuntimeError("broken on purpose")
+        monkeypatch.setattr(checks, "FULL_CHECKS",
+                            [("fine", lambda: (True, "")), ("broken", broken)])
+        code, out, _ = run_cli(capsys, "verify", "--level", "full")
+        assert code == 1
+        assert out.splitlines() == ["PASS fine",
+                                    "FAIL broken: RuntimeError: broken on purpose",
+                                    "1 passed, 1 failed"]
 
 
 class TestTailSumTie:

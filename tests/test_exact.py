@@ -68,11 +68,11 @@ def test_table_against_process_oracle():
     assert exact.DefectTable(1, 2, 1).value(1, 2, 1) == 10
 
 
-def test_table_negative_indices_are_zero():
-    assert exact.DefectTable(0, 0, 0).value(-1, 0, 0) == 0
-    assert exact.DefectTable(0, 0, 1).value(0, -2, 1) == 0
+def test_table_refuses_negative_indices():
     table = exact.DefectTable(2, 2, 2)
-    assert table.value(-1, 1, 1) == 0
+    for r, s, k in [(-1, 0, 0), (0, -1, 1), (-1, 1, 1), (1, 1, -1)]:
+        with pytest.raises(ValueError, match="outside table bounds"):
+            table.value(r, s, k)
 
 
 def test_table_rejects_bad_bounds_and_out_of_range():
@@ -124,6 +124,13 @@ def test_defect_count_recurrence_out_of_range_is_zero():
     assert exact.defect_count_recurrence(3, 2, 3) == 0  # s = m - k < 0
 
 
+@pytest.mark.parametrize("args", [(-1, 3, 1), (3, -1, 1), (3, 3, -1)])
+def test_negative_arguments_refused(args):
+    for fn in (exact.tail_sum, exact.tail_sum_alternating, exact.defect_count_recurrence):
+        with pytest.raises(ValueError, match="n, m, k must be nonnegative"):
+            fn(*args)
+
+
 def test_tail_sum_examples():
     assert exact.tail_sum(4, 4, 2) == 24  # == 2**4 + 4*2, and 23 + 1
     assert exact.tail_sum(5, 3, 0) == 125  # k = 0 gives n**m
@@ -168,6 +175,7 @@ def test_parking_function_count():
     assert exact.parking_function_count(3, 2) == 8
     assert exact.parking_function_count(9, 9) == 10 ** 8
     assert exact.parking_function_count(5, 0) == 1
+    assert type(exact.parking_function_count(5, 0)) is int
     with pytest.raises(ValueError):
         exact.parking_function_count(3, 4)
 
@@ -176,8 +184,9 @@ def test_abel_identity_examples():
     assert exact.abel_identity_check(2, 3, 2)  # 9 + 8 + 8 == 25
     assert exact.abel_identity_check(1, 0, 0)
     assert exact.abel_identity_check(1, 0, 2)  # (b - i) goes negative
-    with pytest.raises(ValueError):
-        exact.abel_identity_check(-1, 2, 2)
+    for args in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]:
+        with pytest.raises(ValueError, match="a, b, m must be nonnegative"):
+            exact.abel_identity_check(*args)
 
 
 def test_distribution_examples():
@@ -200,8 +209,9 @@ def test_distribution_row_sums_and_support():
 
 def test_distribution_degenerate_cases():
     assert exact.defect_distribution(0, 0).counts == (1,)
-    with pytest.raises(ValueError):
-        exact.defect_distribution(0, 3)
+    for m in (1, 3):
+        with pytest.raises(ValueError, match="no spaces"):
+            exact.defect_distribution(0, m)
     with pytest.raises(ValueError):
         exact.defect_distribution(-1, 2)
 

@@ -237,6 +237,13 @@ def test_sample_forced_outcomes():
     assert emp.counts == (50,)
 
 
+def test_tail_frequency_refuses_negative_k():
+    emp = simulate.sample_empirical(5, 5, 1000, seed=1)
+    assert emp.tail_frequency(0) == 1.0
+    with pytest.raises(ValueError):
+        emp.tail_frequency(-1)
+
+
 def test_sample_tail_within_three_standard_errors():
     emp = simulate.sample_empirical(100, 100, 10 ** 5, seed=1)
     p = exact.ratio_as_float(exact.tail_sum_alternating(100, 100, 10), 100 ** 100)
