@@ -67,7 +67,6 @@ loading numpy.
 from __future__ import annotations
 
 import math
-import operator
 
 
 class BudgetError(ValueError):
@@ -97,12 +96,21 @@ class DefectTable:
     lane r, for r = 0..r_max.  A stored a(r, s, k) is cp(r + s, s + k, k),
     at most (r + s)**(s + k) <= (r_max + s_max)**(s_max + k_max) in every
     column, so w = (s_max + k_max) * bitlen(r_max + s_max) + 1 bits hold
-    it.  One multiply of a packed cell by a small binomial then scales
-    every lane, and the k = 0 term, a prefix sum over r, is one multiply
-    by the word with a 1 in every lane, masked to r_max + 1 lanes.  Every
-    term is nonnegative and every partial sum is at most the entry it
-    builds, so no lane ever carries into its neighbour and the packed sums
-    are the lane-wise sums of the same recurrence.
+    it.  The k = 0 term, a prefix sum over r, is one multiply by the word
+    with a 1 in every lane, masked to r_max + 1 lanes.
+
+    The binomial sum is [x^(k+1)] (1 + x)**(s+k) P(x), with P(x) the
+    previous column p_0 + p_1 x + ..., so Pascal's rule, C(N, j) =
+    C(N - 1, j) + C(N - 1, j - 1), builds it from additions alone.  With
+    top = k_max + s_max - s, take v = p_0 .. p_(top+1) and run the pass
+    v[j] += v[j - 1] for j = top + 1 down to 1, s times: cell 0 is then
+    v[1].  For k = 1..top, one more pass over j = top + 1 down to k + 1
+    leaves cell k in v[k + 1].  After N passes v[j] = sum_t C(N, j - t)
+    p_t with N <= s + j - 1, so lane by lane it is at most cell (s, j - 1):
+    every value is nonnegative and within the lane bound, no lane ever
+    carries into its neighbour, and the packed sums are the lane-wise sums
+    of the same recurrence.  A column costs s(top + 1) + top(top + 1)/2
+    additions.
     """
 
     def __init__(self, r_max: int, s_max: int, k_max: int):
@@ -117,15 +125,17 @@ class DefectTable:
         # column 0: a(r, 0, 0) = 1 for every r, and no walker without a driver
         cols = [[ones] + [0] * (k_max + s_max)]
         for s in range(1, s_max + 1):
-            prev = cols[-1]
-            col = []
-            for k in range(k_max + (s_max - s) + 1):
-                # C(s+k, k+1), .., C(s+k, 0) pair with a(., s-1, 0..k+1)
-                binoms = [math.comb(s + k, j) for j in range(k + 1, -1, -1)]
-                cell = sum(map(operator.mul, binoms, prev))
-                if k == 0:
-                    cell = cell * ones & lanes
-                col.append(cell)
+            top = k_max + s_max - s
+            v = cols[-1][:top + 2]
+            # v becomes (1 + x)**s P(x), one Pascal pass at a time
+            for _ in range(s):
+                for j in range(top + 1, 0, -1):
+                    v[j] += v[j - 1]
+            col = [v[1] * ones & lanes]
+            for k in range(1, top + 1):
+                for j in range(top + 1, k, -1):
+                    v[j] += v[j - 1]
+                col.append(v[k + 1])
             cols.append(col)
         self._cols = cols
 

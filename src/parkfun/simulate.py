@@ -30,8 +30,10 @@ stand for the n**m sequences.  Sampling sorts each drawn row.  Both
 evaluate the sorted form with numpy, in chunks of about CHUNK_WORDS
 choices so that each chunk stays in cache and memory does not grow
 with n; sampling draws every chunk from one pass over the block's
-stream, so chunking changes no draw.  Rows are int32 while n <= 2**31
-and int64 above; each path writes its chunks into one reused buffer.
+stream, so chunking changes no draw.  Rows are int16 while n and m are
+at most 2**15, int32 while n <= 2**31 and int64 above: the kernel's
+c_(j) - j lies in [-(m - 1), n - 1].  Each path writes its chunks into
+one reused buffer.
 
 The lot fills by the prefix form of the same rule (Konheim & Weiss,
 1966): after c cars every space is taken exactly when, for every j, at
@@ -156,13 +158,17 @@ def defect_by_suffix_counts(n: int, choices: Sequence[int]) -> int:
     return worst
 
 
-def _row_dtype(n: int) -> type:
-    # Choices 0..n-1 fit int32 while n <= 2**31, and int32 rows sort faster.
+def _row_dtype(n: int, m: int) -> type:
+    # Choices 0..n-1 and the kernel's c - j in [-(m - 1), n - 1] fit int16
+    # while n, m <= 2**15 and int32 while n <= 2**31; narrower rows sort
+    # faster.  numpy has no vector int8 sort, so int16 is the narrowest.
+    if n <= 1 << 15 and m <= 1 << 15:
+        return np.int16
     return np.int32 if n <= 1 << 31 else np.int64
 
 
 def _sorted_defects(n: int, rows: np.ndarray) -> np.ndarray:
-    # rows: (count, m) int32 or int64 array, nondecreasing rows in 0..n-1; overwritten.
+    # rows: (count, m) of _row_dtype(n, m), nondecreasing in 0..n-1; overwritten.
     count, m = rows.shape
     if m == 0:
         return np.zeros(count, dtype=np.int64)
@@ -171,7 +177,7 @@ def _sorted_defects(n: int, rows: np.ndarray) -> np.ndarray:
 
 
 def _defects_in_place(n: int, choices: np.ndarray) -> np.ndarray:
-    # choices: (rows, m) int32 or int64 array with values in 0..n-1; sorted in place.
+    # choices: (rows, m) of _row_dtype(n, m), values in 0..n-1; sorted in place.
     choices.sort(axis=1)
     return _sorted_defects(n, choices)
 
@@ -191,7 +197,7 @@ def _multisets(n: int, m: int):
     the transpose of one reused (m, rows) buffer, so that each column is
     contiguous.
     """
-    dtype = _row_dtype(n)
+    dtype = _row_dtype(n, m)
     if n <= 1 or m == 0:
         # one sequence: every driver picks space 1, or there are none.  For
         # m > 26 only n = 1 passes ENUMERATION_CAP, at any m, too large for
@@ -298,7 +304,7 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
     else:
         rows = min(trials, SAMPLE_BLOCK_TRIALS, max(1, CHUNK_WORDS // m))
         residues = _Residues(n, rows * m)
-        buf = np.empty(rows * m, dtype=_row_dtype(n))
+        buf = np.empty(rows * m, dtype=_row_dtype(n, m))
         for b, start in enumerate(range(0, trials, SAMPLE_BLOCK_TRIALS)):
             block_seed = sub_seed(seed, b)
             t = min(SAMPLE_BLOCK_TRIALS, trials - start)

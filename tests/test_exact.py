@@ -86,10 +86,12 @@ def test_table_rejects_bad_bounds_and_out_of_range():
 
 
 @pytest.mark.parametrize("bounds", [(0, 0, 0), (0, 6, 4), (6, 0, 4), (1, 1, 9),
-                                    (12, 3, 9), (3, 12, 2), (9, 9, 3)])
+                                    (12, 3, 9), (3, 12, 2), (9, 9, 3),
+                                    (2, 20, 1), (20, 2, 20)])
 def test_table_every_stored_cell_is_the_abel_count(bounds):
     # a(r, s, k) = cp(r + s, s + k, k) in every lane of every stored cell,
-    # column 0 and each column's top k = k_max + s_max - s included
+    # column 0 and each column's top k = k_max + s_max - s included; at
+    # (2, 20, 1) the (1 + x)**s passes dominate the fill, at (20, 2, 20) the k passes
     r_max, s_max, k_max = bounds
     table = exact.DefectTable(*bounds)
     for s in range(s_max + 1):

@@ -275,6 +275,20 @@ def test_kernel_int32_rows_reach_the_top_space():
     assert max(got) == m - 1
 
 
+def test_kernel_int16_rows_reach_both_ends():
+    # at n = m = 2**15 an all-zero row reaches c - j = -(2**15 - 1) in its
+    # last column, and an all-(n - 1) row reaches n - 1 in its first
+    n = m = 1 << 15
+    choices = uniform_block(sub_seed(15, 0), n, 6 * m).reshape(6, m) - 1
+    choices[0] = 0
+    choices[1] = n - 1
+    choices[2, :m // 2] = n - 1
+    got = simulate._defects_in_place(n, choices.copy())
+    assert (simulate._defects_in_place(n, choices.astype(np.int16)) == got).all()
+    assert got.tolist() == [simulate.defect_by_suffix_counts(n, row + 1) for row in choices]
+    assert got[:2].tolist() == [0, m - 1]
+
+
 @pytest.mark.parametrize(
     "case", SAMPLE_GOLDEN,
     ids=lambda c: "n{n}-m{m}-t{trials}-s{seed}".format(**c))
@@ -347,7 +361,8 @@ def _assert_scores_accepted_stream(n, monkeypatch):
 
     monkeypatch.setattr(simulate, "_defects_in_place", spy)
     simulate.sample_empirical(n, m, trials, seed)
-    assert {c.dtype for c in scored} == {np.dtype(np.int32 if n <= 1 << 31 else np.int64)}
+    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    assert {c.dtype for c in scored} == {np.dtype(dtype)}
     want = []
     for b, start in enumerate(range(0, trials, simulate.SAMPLE_BLOCK_TRIALS)):
         gen = SplitMix64(sub_seed(seed, b))
@@ -359,6 +374,12 @@ def _assert_scores_accepted_stream(n, monkeypatch):
 def test_sample_scores_the_accepted_stream(monkeypatch):
     # about a quarter of all words are rejected at n = 2**62 + 1, in every chunk
     _assert_scores_accepted_stream((1 << 62) + 1, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [1 << 15, (1 << 15) + 1])
+def test_sample_rows_are_int16_up_to_two_to_the_15(n, monkeypatch):
+    # 2**15 - 1, the top space at n = 2**15, is int16's largest value
+    _assert_scores_accepted_stream(n, monkeypatch)
 
 
 @pytest.mark.parametrize("n", [1 << 31, (1 << 31) + 1])
