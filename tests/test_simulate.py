@@ -348,10 +348,11 @@ def test_sample_rejection_past_first_chunk_replays_whole_block():
     assert simulate.sample_empirical(n, m, trials, seed).counts == want
 
 
-def _assert_scores_accepted_stream(n, monkeypatch):
+def _assert_scores_accepted_stream(n, monkeypatch, m=40, trials=9000):
     # Copied before the kernel sorts them and concatenated, the scored rows
-    # must be each block's accepted draws in stream order.
-    m, trials, seed = 40, 9000, 11
+    # must be each block's accepted draws in stream order.  Returns the
+    # sampled histogram and those draws as rows of choices 1..n.
+    seed = 11
     kernel = simulate._defects_in_place
     scored = []
 
@@ -360,8 +361,11 @@ def _assert_scores_accepted_stream(n, monkeypatch):
         return kernel(n, choices)
 
     monkeypatch.setattr(simulate, "_defects_in_place", spy)
-    simulate.sample_empirical(n, m, trials, seed)
-    dtype = np.int16 if n <= 1 << 15 else np.int32 if n <= 1 << 31 else np.int64
+    got = simulate.sample_empirical(n, m, trials, seed)
+    if n <= 1 << 15 and m <= 1 << 15:
+        dtype = np.int16
+    else:
+        dtype = np.int32 if n <= 1 << 31 else np.int64
     assert {c.dtype for c in scored} == {np.dtype(dtype)}
     want = []
     for b, start in enumerate(range(0, trials, simulate.SAMPLE_BLOCK_TRIALS)):
@@ -369,6 +373,7 @@ def _assert_scores_accepted_stream(n, monkeypatch):
         rows = min(simulate.SAMPLE_BLOCK_TRIALS, trials - start)
         want += [gen.uniform_int(n) - 1 for _ in range(rows * m)]
     assert np.concatenate(scored).ravel().tolist() == want
+    return got, [[c + 1 for c in want[i:i + m]] for i in range(0, len(want), m)]
 
 
 def test_sample_scores_the_accepted_stream(monkeypatch):
@@ -380,6 +385,17 @@ def test_sample_scores_the_accepted_stream(monkeypatch):
 def test_sample_rows_are_int16_up_to_two_to_the_15(n, monkeypatch):
     # 2**15 - 1, the top space at n = 2**15, is int16's largest value
     _assert_scores_accepted_stream(n, monkeypatch)
+
+
+@pytest.mark.parametrize("m", [(1 << 15) + 1, 40000])
+def test_sample_rows_are_int32_past_two_to_the_15_drivers(m, monkeypatch):
+    # From m = 2**15 + 1 the offsets 0..m-1 leave int16, though n = 50 fits
+    # it; at m = 40000, int16 offsets would wrap to c - j up to 25586 and
+    # give every row too large a defect.
+    n = 50
+    got, rows = _assert_scores_accepted_stream(n, monkeypatch, m=m, trials=3)
+    want = collections.Counter(simulate.defect_by_suffix_counts(n, r) for r in rows)
+    assert got.counts == tuple(want[k] for k in range(m + 1))
 
 
 @pytest.mark.parametrize("n", [1 << 31, (1 << 31) + 1])

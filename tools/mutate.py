@@ -1,6 +1,6 @@
 """Mutation score of one parkfun module against the tier-1 tests.
 
-    python tools/mutate.py exact [--workers N]
+    python tools/mutate.py exact
 
 Each mutant changes one site of src/parkfun/MODULE.py by one of six
 operators: an int constant + 1 or - 1, + <-> - (augmented assignments
@@ -8,7 +8,7 @@ too), // -> *, < <-> <=, > <-> >=, and == <-> !=.  A mutant is written
 with ast.unparse into a worker's own copy of src/, and the tests under
 tests/ run against that copy with `pytest -x`; it is killed when any
 test fails or errors, or when the run outlasts four times the unmutated
-run.  Workers default to one per core.
+run.  One worker runs per core.
 
 The test that killed each mutant is cached in tools/.mutate_cache.json
 (not tracked) and runs alone first the next time, so a mutant killed
@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+WORKERS = os.cpu_count() or 1
 CACHE = ROOT / "tools" / ".mutate_cache.json"
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.FloorDiv: ast.Mult,
@@ -113,7 +114,6 @@ def run_tests(src: Path, args: list[str], timeout: float) -> tuple[str, str | No
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description="mutation score of one parkfun module")
     p.add_argument("module", help="module name under src/parkfun, e.g. exact")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     a = p.parse_args(argv)
     rel = Path("parkfun") / f"{a.module}.py"
     source = (ROOT / "src" / rel).read_text(encoding="utf-8")
@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
         dirs = queue.Queue()
-        for w in range(max(1, a.workers)):
+        for w in range(WORKERS):
             src = Path(tmp) / str(w) / "src"
             shutil.copytree(ROOT / "src", src,
                             ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
 
         t0 = time.monotonic()
         results = []
-        with ThreadPoolExecutor(max(1, a.workers)) as pool:
+        with ThreadPoolExecutor(WORKERS) as pool:
             for result in pool.map(run, found):
                 results.append(result)
                 print(f"\r{len(results)}/{len(found)} mutants run", end="", file=sys.stderr)
@@ -177,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     errors = sum(status == "error" for status, _ in results)
     print(f"{a.module}: {len(found) - len(survivors)} of {len(found)} mutants killed "
           f"({timeouts} by timeout, {errors} by a pytest error), {len(survivors)} "
-          f"survived; {time.monotonic() - t0:.0f} s on {a.workers} workers, "
+          f"survived; {time.monotonic() - t0:.0f} s on {WORKERS} workers, "
           f"unmutated run {base_s:.1f} s")
     return 1 if survivors else 0
 
