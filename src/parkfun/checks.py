@@ -7,6 +7,12 @@ series vs root-finding, quadrature vs closed form.  A check returns
 Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
 `verify` runs one of them, and the tests run each check by name.
 
+Every check owns one fixed grid: its bounds, seed and trial count are
+constants in its body, and it takes no argument.  The one exception is
+check_park_implementations(instances), which the quick suite runs on
+2000 instances and the full suite on 10**4.  No test calls a check with
+arguments, so each invariant runs on one grid, through one path.
+
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
 the affected checks fail loudly.
@@ -22,94 +28,90 @@ from . import asymptotic, exact, simulate
 from .rng import SplitMix64, sub_seed
 
 
-def _fail(detail: str) -> tuple[bool, str]:
-    return False, detail
-
-
-def _ok(detail: str = "") -> tuple[bool, str]:
-    return True, detail
-
-
 # ---------------------------------------------------------------------------
 # exact counting
 
 
-def check_three_way_equivalence(n_max: int = 8, m_max: int = 10):
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
+def check_three_way_equivalence():
+    # one table holds the recurrence's cp(n, m, k) = a(n - m + k, m - k, k)
+    # for every n <= 10, m <= 12; a negative r has no outcome
+    table = exact.DefectTable(10, 12, 12)
+    for n in range(1, 11):
+        for m in range(13):
             for k in range(m + 1):
-                rec = exact.defect_count_recurrence(n, m, k)
+                r = n - m + k
+                rec = table.value(r, m - k, k) if r >= 0 else 0
                 exp = exact.defect_count_explicit(n, m, k)
                 alt = (exact.tail_sum_alternating(n, m, k)
                        - exact.tail_sum_alternating(n, m, k + 1))
                 if not rec == exp == alt:
-                    return _fail(f"cp({n},{m},{k}): rec={rec} explicit={exp} alt={alt}")
-    return _ok()
+                    return False, f"cp({n},{m},{k}): rec={rec} explicit={exp} alt={alt}"
+    return True, ""
 
 
-def check_row_sums(n_max: int = 8, m_max: int = 10):
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
+def check_row_sums():
+    for n in range(1, 13):
+        for m in range(15):
             dist = exact.defect_distribution(n, m)
             if sum(dist.counts) != n ** m:
-                return _fail(f"sum cp({n},{m},k) != {n}**{m}")
-    return _ok()
+                return False, f"sum cp({n},{m},k) != {n}**{m}"
+    return True, ""
 
 
-def check_support(n_max: int = 10):
-    for n in range(1, n_max + 1):
+def check_support():
+    for n in range(1, 11):
         for m in range(12):
             for k in range(max(0, m - n)):
                 if exact.defect_count_explicit(n, m, k) != 0:
-                    return _fail(f"cp({n},{m},{k}) != 0 below support")
+                    return False, f"cp({n},{m},{k}) != 0 below support"
             if m >= 1 and exact.defect_count_explicit(n, m, m) != 0:
-                return _fail(f"cp({n},{m},{m}) != 0")
+                return False, f"cp({n},{m},{m}) != 0"
         if exact.defect_count_explicit(n, n, n - 1) != 1:
-            return _fail(f"cp({n},{n},{n - 1}) != 1")
-    return _ok()
+            return False, f"cp({n},{n},{n - 1}) != 1"
+    return True, ""
 
 
-def check_pollak(n_max: int = 20):
-    for n in range(n_max + 1):
+def check_pollak():
+    for n in range(21):
         for m in range(n + 1):
             if exact.parking_function_count(n, m) != exact.defect_count_explicit(n, m, 0):
-                return _fail(f"Pollak mismatch at ({n},{m})")
-    return _ok()
+                return False, f"Pollak mismatch at ({n},{m})"
+    return True, ""
 
 
-def check_closed_form_k0(r_max: int = 10, s_max: int = 10):
-    table = exact.DefectTable(r_max, s_max, 0)
-    for r in range(r_max + 1):
-        for s in range(s_max + 1):
+def check_closed_form_k0():
+    table = exact.DefectTable(10, 10, 0)
+    for r in range(11):
+        for s in range(11):
             want = (r + 1) * (r + s + 1) ** (s - 1) if s > 0 else 1
             if table.value(r, s, 0) != want:
-                return _fail(f"a({r},{s},0) != (r+1)(r+s+1)^(s-1)")
-    return _ok()
+                return False, f"a({r},{s},0) != (r+1)(r+s+1)^(s-1)"
+    return True, ""
 
 
-def check_abel_grid(bound: int = 8):
-    for a in range(bound + 1):
-        for b in range(bound + 1):
-            for m in range(bound + 1):
+def check_abel_grid():
+    for a in range(9):
+        for b in range(9):
+            for m in range(9):
                 if not exact.abel_identity_check(a, b, m):
-                    return _fail(f"Abel identity fails at ({a},{b},{m})")
-    return _ok()
+                    return False, f"Abel identity fails at ({a},{b},{m})"
+    return True, ""
 
 
-def check_monotone_tails(n_max: int = 10, m_max: int = 10):
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
+def check_monotone_tails():
+    for n in range(1, 11):
+        for m in range(11):
             prev = None
             for k in range(m + 2):
                 s = exact.tail_sum(n, m, k)
                 if s < 0 or (prev is not None and s > prev):
-                    return _fail(f"tail sums not monotone at ({n},{m},{k})")
+                    return False, f"tail sums not monotone at ({n},{m},{k})"
                 prev = s
-    return _ok()
+    return True, ""
 
 
-def check_diagonal_special_cases(n_max: int = 20):
-    for n in range(2, n_max + 1):
+def check_diagonal_special_cases():
+    for n in range(2, 21):
         checks = {
             (n, 1): n ** n - (n + 1) ** (n - 1),
             (n, 2): n ** n - 2 * (n + 2) ** (n - 1) + 2 * n * (n + 1) ** (n - 2),
@@ -118,32 +120,31 @@ def check_diagonal_special_cases(n_max: int = 20):
         }
         for (nn, k), want in checks.items():
             if exact.tail_sum(nn, nn, k) != want:
-                return _fail(f"S({nn},{nn},{k}) != closed form")
-    return _ok()
+                return False, f"S({nn},{nn},{k}) != closed form"
+    return True, ""
 
 
-def check_tail_upper_bound(n_max: int = 12, m_max: int = 12):
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
+def check_tail_upper_bound():
+    for n in range(16):
+        for m in range(16):
             for k in range(m + 1):
                 if exact.tail_sum(n, m, k) > math.perm(m, k) * n ** (m - k):
-                    return _fail(f"upper bound fails at ({n},{m},{k})")
-    return _ok()
+                    return False, f"upper bound fails at ({n},{m},{k})"
+    return True, ""
 
 
-def check_ladder_split_agreement(n_max: int = 12, m_max: int = 14,
-                                 lots=((10 ** 12, 60), (200, 390), (50, 200), (330, 300))):
+def check_ladder_split_agreement():
     """The tail ladder agrees with itself at every split, and with the
     alternating form at the split it picks."""
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
+    for n in range(1, 13):
+        for m in range(15):
             lo = max(0, m - n + 1)
             want = [exact.tail_sum(n, m, k) for k in range(lo + 1, m + 1)]
             for split in range(lo, m + 1):
                 if exact._abel_tails(n, m, split) != want:
-                    return _fail(f"tails at ({n},{m}) split {split} != tail_sum")
+                    return False, f"tails at ({n},{m}) split {split} != tail_sum"
     picked = []
-    for n, m in lots:
+    for n, m in ((10 ** 12, 60), (200, 390), (50, 200), (330, 300)):
         lo = max(0, m - n + 1)
         split = exact._split(n, m)
         tails = exact._abel_tails(n, m, split)
@@ -151,9 +152,9 @@ def check_ladder_split_agreement(n_max: int = 12, m_max: int = 14,
         ks = {lo + 1, (lo + split) // 2, split, split + 1} & set(range(lo + 1, m + 1))
         for k in sorted(ks):
             if tails[k - lo - 1] != exact.tail_sum_alternating(n, m, k):
-                return _fail(f"S({n},{m},{k}) at split {split} != alternating form")
+                return False, f"S({n},{m},{k}) at split {split} != alternating form"
         picked.append(f"({n},{m}) lo={lo} split={split}")
-    return _ok("; ".join(picked))
+    return True, "; ".join(picked)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +164,14 @@ def check_ladder_split_agreement(n_max: int = 12, m_max: int = 14,
 def _enumeration_agrees(pairs):
     for n, m in pairs:
         if exact.defect_distribution(n, m) != simulate.enumerate_exhaustive(n, m):
-            return _fail(f"enumeration disagrees with exact counts at ({n},{m})")
-    return _ok(f"{len(pairs)} pairs")
+            return False, f"enumeration disagrees with exact counts at ({n},{m})"
+    return True, f"{len(pairs)} pairs"
 
 
-def exhaustive_pairs(budget: int) -> list[tuple[int, int]]:
-    """(n, m) for n <= 12 and every m <= 19 with m = 0 or n**m <= budget."""
-    return [(n, m) for n in range(1, 13) for m in range(20) if m == 0 or n ** m <= budget]
+def exhaustive_pairs() -> list[tuple[int, int]]:
+    """(n, m) for n <= 12 and every m <= 19 with m = 0 or n**m <= ENUMERATION_CAP."""
+    cap = simulate.ENUMERATION_CAP
+    return [(n, m) for n in range(1, 13) for m in range(20) if m == 0 or n ** m <= cap]
 
 
 def check_exhaustive_oracle_small():
@@ -178,11 +180,11 @@ def check_exhaustive_oracle_small():
 
 
 def check_exhaustive_oracle_full():
-    return _enumeration_agrees(exhaustive_pairs(simulate.ENUMERATION_CAP))
+    return _enumeration_agrees(exhaustive_pairs())
 
 
-def check_park_implementations(instances: int = 2000, seed: int = 0xC0FFEE):
-    gen = SplitMix64(seed)
+def check_park_implementations(instances: int = 2000):
+    gen = SplitMix64(0xC0FFEE)
     for _ in range(instances):
         n = gen.uniform_int(40)
         m = gen.uniform_int(60)
@@ -190,37 +192,38 @@ def check_park_implementations(instances: int = 2000, seed: int = 0xC0FFEE):
         fast = simulate.park(n, choices)
         naive = simulate.park_naive(n, choices)
         if fast != naive:
-            return _fail(f"park/fast != naive on n={n}, choices={choices}")
+            return False, f"park/fast != naive on n={n}, choices={choices}"
         if fast.defect != simulate.defect_by_suffix_counts(n, choices):
-            return _fail(f"suffix-count defect rule off on n={n}, choices={choices}")
-    return _ok()
+            return False, f"suffix-count defect rule off on n={n}, choices={choices}"
+    return True, ""
 
 
-def check_permutation_invariance(multisets: int = 30, seed: int = 0xB0BA):
-    gen = SplitMix64(seed)
-    for _ in range(multisets):
+def check_permutation_invariance():
+    gen = SplitMix64(0xB0BA)
+    for _ in range(30):
         n = gen.uniform_int(6)
         m = gen.uniform_int(6)
         base = sorted(gen.uniform_int(n) for _ in range(m))
         defects = {simulate.park(n, p).defect
                    for p in set(itertools.permutations(base))}
         if len(defects) != 1:
-            return _fail(f"defect not permutation-invariant for n={n}, multiset={base}")
-    return _ok()
+            return False, f"defect not permutation-invariant for n={n}, multiset={base}"
+    return True, ""
 
 
 def check_sampling_determinism():
     a = simulate.sample_empirical(12, 15, 2000, seed=99)
     b = simulate.sample_empirical(12, 15, 2000, seed=99)
     if a != b:
-        return _fail("identical seeds produced different histograms")
+        return False, "identical seeds produced different histograms"
     if sum(a.counts) != 2000:
-        return _fail("histogram does not sum to the trial count")
-    return _ok()
+        return False, "histogram does not sum to the trial count"
+    return True, ""
 
 
-def check_monte_carlo_calibration(trials: int = 10 ** 5, seed: int = 1):
-    emp = simulate.sample_empirical(100, 100, trials, seed=seed)
+def check_monte_carlo_calibration():
+    trials = 10 ** 5
+    emp = simulate.sample_empirical(100, 100, trials, seed=1)
     denom = 100 ** 100
     zs = []
     for k in (5, 10, 20):
@@ -228,41 +231,42 @@ def check_monte_carlo_calibration(trials: int = 10 ** 5, seed: int = 1):
         se = math.sqrt(p * (1.0 - p) / trials)
         z = abs(emp.tail_frequency(k) - p) / se
         if z > 4.0:
-            return _fail(f"empirical tail at k={k} off by {z:.2f} standard errors")
+            return False, f"empirical tail at k={k} off by {z:.2f} standard errors"
         zs.append(f"k={k} z={z:.2f}")
-    return _ok("; ".join(zs))
+    return True, "; ".join(zs)
 
 
-def check_coupon_experiment(runs: int = 1000, seed: int = 777):
+def check_coupon_experiment():
+    runs = 1000
     full = sum(1 for i in range(runs)
-               if simulate.cars_until_full(50, sub_seed(seed, i)) <= 100)
+               if simulate.cars_until_full(50, sub_seed(777, i)) <= 100)
     frac = full / runs
     p = exact.ratio_as_float(exact.defect_count_explicit(50, 100, 50), 50 ** 100)
     se = math.sqrt(p * (1.0 - p) / runs)
     if abs(frac - p) > 4.0 * se:
-        return _fail(f"full-by-2n fraction {frac:.4f} vs exact {p:.4f} beyond 4 SE")
-    return _ok()
+        return False, f"full-by-2n fraction {frac:.4f} vs exact {p:.4f} beyond 4 SE"
+    return True, ""
 
 
 # ---------------------------------------------------------------------------
 # asymptotics
 
 
-def check_tree_function_grid(points: int = 1000):
+def check_tree_function_grid():
     prev = -1.0
-    for i in range(points + 1):
-        v = asymptotic.TREE_ARG_MAX * i / points
+    for i in range(1001):
+        v = asymptotic.TREE_ARG_MAX * i / 1000
         t = asymptotic.tree_function(v)
         if abs(t * math.exp(-t) - v) > 1e-12:
-            return _fail(f"tree residual too large at v={v}")
+            return False, f"tree residual too large at v={v}"
         if t <= prev:
-            return _fail(f"tree function not strictly increasing at v={v}")
+            return False, f"tree function not strictly increasing at v={v}"
         prev = t
     for lam in (0.1, 0.5, 0.9, 1.0):
         t = asymptotic.tree_function(lam * math.exp(-lam))
         if abs(t - lam) > 1e-10:
-            return _fail(f"T(lambda e^-lambda) != lambda at {lam}")
-    return _ok()
+            return False, f"T(lambda e^-lambda) != lambda at {lam}"
+    return True, ""
 
 
 def check_limiting_tail_shape():
@@ -273,14 +277,14 @@ def check_limiting_tail_shape():
             x = 0.1 * i
             val = asymptotic.limiting_tail(x, y)
             if not 0.0 < val <= 1.0:
-                return _fail(f"tail limit out of (0,1] at ({x},{y})")
+                return False, f"tail limit out of (0,1] at ({x},{y})"
             if x > y and prev is not None and val > prev:
-                return _fail(f"tail limit not decreasing at ({x},{y})")
+                return False, f"tail limit not decreasing at ({x},{y})"
             prev = val
         boundary = asymptotic.limiting_tail(max(y, 0.0), y)
         if boundary != 1.0:
-            return _fail(f"tail limit not continuous at x=y={y}")
-    return _ok()
+            return False, f"tail limit not continuous at x=y={y}"
+    return True, ""
 
 
 def check_density_integral_grid():
@@ -291,8 +295,8 @@ def check_density_integral_grid():
             got = asymptotic.density_integral_check(x, y)
             want = math.exp(-2.0 * x * (x - y))
             if abs(got - want) > 1e-6:
-                return _fail(f"alpha-density integral off at ({x},{y}): {got} vs {want}")
-    return _ok()
+                return False, f"alpha-density integral off at ({x},{y}): {got} vs {want}"
+    return True, ""
 
 
 def check_series_vs_tree():
@@ -303,12 +307,12 @@ def check_series_vs_tree():
         ref = asymptotic.tree_function(min(lam * math.exp(-lam),
                                            asymptotic.TREE_ARG_MAX)) / lam
         if abs(asymptotic.full_lot_series(lam, 200) - ref) > 1e-10:
-            return _fail(f"series does not reach the tree function at lambda={lam}")
+            return False, f"series does not reach the tree function at lambda={lam}"
     err_200 = abs(asymptotic.full_lot_series(1.0, 200) - 1.0)
     err_3200 = abs(asymptotic.full_lot_series(1.0, 3200) - 1.0)
     if not err_3200 < err_200 < 0.1:
-        return _fail("series at lambda=1 not converging toward T(1/e)")
-    return _ok()
+        return False, "series at lambda=1 not converging toward T(1/e)"
+    return True, ""
 
 
 def check_ratio_limit_values():
@@ -320,11 +324,12 @@ def check_ratio_limit_values():
     for (ell, k), val in want.items():
         got = asymptotic.defect_ratio_limit(ell, k)
         if abs(got - val) > 1e-12:
-            return _fail(f"ratio limit ({ell},{k}) = {got}, want {val}")
-    return _ok()
+            return False, f"ratio limit ({ell},{k}) = {got}, want {val}"
+    return True, ""
 
 
-def check_ratio_limits_exact(ns=(250, 1000, 4000)):
+def check_ratio_limits_exact():
+    ns = (250, 1000, 4000)
     reached = []
     for k in (1, 2):
         target = asymptotic.defect_ratio_limit(0, k)
@@ -336,27 +341,29 @@ def check_ratio_limits_exact(ns=(250, 1000, 4000)):
                    - exact.tail_sum_alternating(n, n, 1))
             errs.append(abs(exact.ratio_as_float(num, den) - target))
         if not all(a > b for a, b in zip(errs, errs[1:])):
-            return _fail(f"ratio error not strictly decreasing for k={k}: {errs}")
+            return False, f"ratio error not strictly decreasing for k={k}: {errs}"
         if errs[-1] > 5e-2:
-            return _fail(f"ratio error {errs[-1]} above 5e-2 at n={ns[-1]}")
+            return False, f"ratio error {errs[-1]} above 5e-2 at n={ns[-1]}"
         reached.append(f"k={k} err@{ns[-1]}={errs[-1]:.2e}")
-    return _ok("; ".join(reached))
+    return True, "; ".join(reached)
 
 
-def check_tail_trend(ns=(100, 400, 1600)):
+def check_tail_trend():
+    ns = (100, 400, 1600)
     errs = []
     for n in ns:
         k = math.isqrt(n)
         val = exact.ratio_as_float(exact.tail_sum_alternating(n, n, k), n ** n)
         errs.append(abs(val - math.exp(-2.0)))
     if not all(a > b for a, b in zip(errs, errs[1:])):
-        return _fail(f"tail errors not decreasing: {errs}")
+        return False, f"tail errors not decreasing: {errs}"
     if errs[-1] > 0.05:
-        return _fail(f"tail error {errs[-1]} above 0.05 at n={ns[-1]}")
-    return _ok(f"errors {['%.4f' % e for e in errs]}")
+        return False, f"tail error {errs[-1]} above 0.05 at n={ns[-1]}"
+    return True, f"errors {['%.4f' % e for e in errs]}"
 
 
-def check_phi_consistency(ns=(1000, 4000)):
+def check_phi_consistency():
+    ns = (1000, 4000)
     for k in (1, 2, 3):
         target = asymptotic.phi(0, k)
         errs = []
@@ -365,8 +372,8 @@ def check_phi_consistency(ns=(1000, 4000)):
             val = -n * exact.ratio_as_float(deficit, n ** n)
             errs.append(abs(val - target))
         if not errs[-1] < errs[0]:
-            return _fail(f"phi(0,{k}) error grew from n={ns[0]} to n={ns[-1]}: {errs}")
-    return _ok()
+            return False, f"phi(0,{k}) error grew from n={ns[0]} to n={ns[-1]}: {errs}"
+    return True, ""
 
 
 def check_full_lot_ordering():
@@ -379,8 +386,8 @@ def check_full_lot_ordering():
             count = exact.defect_count_explicit(n, m, m - n)
             vals.append(exact.ratio_as_float(count, n ** m))
         if not vals[0] >= vals[1] >= limit:
-            return _fail(f"full-lot ordering broken at lambda={lam}: {vals} vs {limit}")
-    return _ok()
+            return False, f"full-lot ordering broken at lambda={lam}: {vals} vs {limit}"
+    return True, ""
 
 
 def check_pmf_normalization():
@@ -388,8 +395,8 @@ def check_pmf_normalization():
     total = sum(asymptotic.pmf_approx(n, n, k)
                 for k in range(1, math.ceil(3 * math.sqrt(n)) + 1))
     if abs(total - 1.0) > 0.05:
-        return _fail(f"pmf approximation sums to {total}, expected ~1")
-    return _ok()
+        return False, f"pmf approximation sums to {total}, expected ~1"
+    return True, ""
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,8 @@ def _lambda_grid(lo: float, hi: float, step: float) -> list[Fraction]:
 
 def cmd_plotdata_fig2(args) -> int:
     n_list = args.n if args.n else [10, 20]
+    if min(n_list) < 1:
+        raise ValueError("plotdata-fig2 needs n >= 1")
     rows = []
     for lam in _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step):
         lam_f = float(lam)

@@ -49,7 +49,7 @@ def test_criterion_01_reference_table_both_paths():
 
 
 def test_criterion_02_exhaustive_equals_exact(full_check):
-    pairs = checks.exhaustive_pairs(10 ** 6)
+    pairs = checks.exhaustive_pairs()
     assert (2, 19) in pairs and (3, 12) in pairs and (6, 6) in pairs
     ok, detail, elapsed = full_check("exhaustive-oracle-full")
     assert report(2, "exhaustive enumeration oracle", ok,
@@ -67,9 +67,8 @@ def test_criterion_04_abel_identity_grid(full_check):
     assert report(4, "Abel identity on [0,8]^3", ok), detail
 
 
-def test_criterion_05_row_sums():
-    # a wider grid than the named check's (8, 10), so it runs on its own
-    ok, detail = checks.check_row_sums(12, 14)
+def test_criterion_05_row_sums(full_check):
+    ok, detail, _ = full_check("row-sums")
     assert report(5, "row sums equal n^m", ok), detail
 
 

@@ -170,6 +170,16 @@ class TestPlotdataFig2:
         want = exact.ratio_as_float(count, 20 ** 40)
         assert float(row["exact_full_probability"]) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("argv", [
+        ("--n", "-3", "--lambda-min", "1.5", "--lambda-max", "1.6"),
+        ("--n", "0"),
+        ("--n", "10", "--n", "0"),
+    ])
+    def test_lot_without_spaces_is_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "plotdata-fig2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
 
 class TestSimulate:
     def test_replay_is_byte_identical(self, capsys, tmp_path):
@@ -255,6 +265,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--level", "quick")
         assert code == 1
         assert "FAIL" in out
+
+    def test_tampered_recurrence_table_is_caught(self, capsys, monkeypatch):
+        # three-way-equivalence reads the recurrence off one DefectTable
+        orig = exact.DefectTable.value
+        monkeypatch.setattr(exact.DefectTable, "value",
+                            lambda self, r, s, k: orig(self, r, s, k) + 1)
+        code, out, _ = run_cli(capsys, "verify", "--level", "quick")
+        assert code == 1
+        failed = [ln.split(":")[0] for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert failed == ["FAIL three-way-equivalence", "FAIL closed-form-k0"]
 
     @pytest.mark.parametrize("exc", [ValueError, RuntimeError])
     def test_raising_check_is_a_failure(self, capsys, monkeypatch, exc):

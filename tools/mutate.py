@@ -12,9 +12,15 @@ run.  One worker runs per core.
 
 The test that killed each mutant is cached in tools/.mutate_cache.json
 (not tracked) and runs alone first the next time, so a mutant killed
-before costs one short pytest run, not the tests up to its killer.  Every survivor is
-printed as file:line, enclosing function, operator and source text, then
-one summary line; the exit status is 1 when any mutant survived.
+before costs one short pytest run, not the tests up to its killer.
+
+A mutant's key is its enclosing function, operator, source text and the
+occurrence of that text among the function's sites with that operator,
+joined by "|".  tools/equivalent_mutants.txt lists the survivors that
+are accepted, one per line: module, key and a one-line reason, split by
+tabs.  Every survivor is printed as file:line and key, the listed ones
+as "accepted" apart from the unlisted ones, then one summary line.  The
+exit status is 1 only when an unlisted mutant survived.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = os.cpu_count() or 1
 CACHE = ROOT / "tools" / ".mutate_cache.json"
+ACCEPTED = ROOT / "tools" / "equivalent_mutants.txt"
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.FloorDiv: ast.Mult,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -71,11 +78,10 @@ def sites(tree: ast.Module):
 
 
 def mutants(source: str) -> list[dict]:
-    """Every mutant of `source`: its key, line, scope, operator, text and code."""
-    lines = source.splitlines()
+    """Every mutant of `source`: its key, line and code."""
     out, seen = [], {}
     for index, (node, scope, where, operator) in enumerate(sites(ast.parse(source))):
-        text = ast.get_source_segment(source, node) or ""
+        text = " ".join((ast.get_source_segment(source, node) or "").split())
         base = f"{scope or '<module>'}|{operator}|{text}"
         seen[base] = seen.get(base, 0) + 1
         # mutate the index-th site of a fresh tree, so each mutant has one change
@@ -88,9 +94,19 @@ def mutants(source: str) -> list[dict]:
         else:
             node.ops[where] = SWAPS[type(node.ops[where])]()
         out.append({"key": f"{base}|{seen[base]}", "line": node.lineno,
-                    "scope": scope or "<module>", "operator": operator,
-                    "text": lines[node.lineno - 1].strip(), "code": ast.unparse(tree)})
+                    "code": ast.unparse(tree)})
     return out
+
+
+def accepted(module: str) -> set[str]:
+    """The keys of `module`'s survivors listed in ACCEPTED."""
+    keys = set()
+    for line in ACCEPTED.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            listed_module, key, _reason = line.split("\t")
+            if listed_module == module:
+                keys.add(key)
+    return keys
 
 
 def run_tests(src: Path, args: list[str], timeout: float) -> tuple[str, str | None]:
@@ -171,15 +187,17 @@ def main(argv: list[str] | None = None) -> int:
     cache[a.module] = killers
     CACHE.write_text(json.dumps(cache, indent=1, sort_keys=True), encoding="utf-8")
 
+    listed = accepted(a.module)
+    unlisted = [m for m in survivors if m["key"] not in listed]
     for m in survivors:
-        print(f"survived  src/{rel}:{m['line']}  {m['scope']}  {m['operator']}  {m['text']}")
+        print(f"{'accepted' if m['key'] in listed else 'survived'}  src/{rel}:{m['line']}  {m['key']}")
     timeouts = sum(status == "timeout" for status, _ in results)
     errors = sum(status == "error" for status, _ in results)
     print(f"{a.module}: {len(found) - len(survivors)} of {len(found)} mutants killed "
           f"({timeouts} by timeout, {errors} by a pytest error), {len(survivors)} "
-          f"survived; {time.monotonic() - t0:.0f} s on {WORKERS} workers, "
-          f"unmutated run {base_s:.1f} s")
-    return 1 if survivors else 0
+          f"survived, {len(unlisted)} of them unlisted; {time.monotonic() - t0:.0f} s "
+          f"on {WORKERS} workers, unmutated run {base_s:.1f} s")
+    return 1 if unlisted else 0
 
 
 if __name__ == "__main__":
