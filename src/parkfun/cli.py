@@ -18,8 +18,9 @@ JSON output carries the same configuration in a "config" field.  The
 plain-text commands (table, verify) echo their configuration to stderr
 so their stdout stays machine-comparable.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 refusal
-(exact.BudgetError) of a coupon lot above COUPON_SPACE_CAP spaces.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an
+--out path that cannot be written (OSError), 3 refusal (exact.BudgetError)
+of a coupon lot above COUPON_SPACE_CAP spaces.
 """
 
 from __future__ import annotations
@@ -313,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     except exact.BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP_REFUSED
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an unwritable --out is not a failed verification: exit 2, not 1
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

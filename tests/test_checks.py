@@ -1,9 +1,10 @@
 """Every named check of `parkfun verify --level full`, one test id each.
 
 Each invariant the checks state is defined once, in `parkfun.checks`;
-tests elsewhere keep only what no check covers.  Each check runs once
-per session, through the `full_check` fixture the acceptance criteria
-read too.
+tests elsewhere keep only what no check covers.  A test that restated a
+check was folded into it, its stricter bound or extra case included,
+and deleted.  Each check runs once per session, through the
+`full_check` fixture the acceptance criteria read too.
 """
 
 import pytest

@@ -252,19 +252,14 @@ class TestCoupon:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--level", "quick")
-        assert code == 0
-        lines = out.splitlines()
-        assert all(ln.startswith("PASS") for ln in lines[:-1])
-        assert lines[-1].endswith("0 failed")
-
     def test_tampered_tail_sum_is_caught(self, capsys, monkeypatch):
         orig = exact.tail_sum
         monkeypatch.setattr(exact, "tail_sum", lambda n, m, k: orig(n, m, k) + k)
         code, out, _ = run_cli(capsys, "verify", "--level", "quick")
         assert code == 1
-        assert "FAIL" in out
+        # S(1, 1, 1) = 0 and S(1, 1, 2) = 0 become 1 and 2: the detail gives both
+        assert ("FAIL monotone-tails: tail sums not monotone at (1,1,2): "
+                "S(k-1)=1, S(k)=2") in out.splitlines()
 
     def test_tampered_recurrence_table_is_caught(self, capsys, monkeypatch):
         # three-way-equivalence reads the recurrence off one DefectTable
@@ -333,6 +328,15 @@ class TestPlumbing:
         # identical payload; only the echoed out-path in the config differs
         strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
         assert strip(on_disk) == strip(out)
+
+    @pytest.mark.parametrize("argv", [("dist", "--n", "3", "--m", "2"), ("verify",)])
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
+        # a directory cannot be opened for writing: exit 2 with one error line,
+        # so that verify's exit 1 still means a failed check
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and str(tmp_path) in last
 
     def test_csv_runs_are_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "dist", "--n", "6", "--m", "6")

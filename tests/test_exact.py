@@ -40,49 +40,13 @@ def oracle_distribution(n, m):
     return counts
 
 
-def test_table_base_case():
-    assert exact.DefectTable(0, 0, 0).value(0, 0, 0) == 1
-
-
-def test_table_k0_slice_closed_form():
-    # a(r, s, 0) = (r+1)(r+s+1)**(s-1); in particular a(1, 2, 0) = 2*4 = 8
-    assert exact.DefectTable(1, 2, 0).value(1, 2, 0) == 8
-
-
-def test_table_against_process_oracle():
-    # a(1, 2, 1): 3 drivers on 3 spaces leaving 1 space empty, 2 taken,
-    # 1 walker; brute force over all 27 sequences gives 10.
-    hits = 0
-    for choices in itertools.product((1, 2, 3), repeat=3):
-        free = [True] * 4
-        walked = 0
-        for c in choices:
-            spot = next((j for j in range(c, 4) if free[j]), None)
-            if spot is None:
-                walked += 1
-            else:
-                free[spot] = False
-        if walked == 1 and free.count(False) == 2:
-            hits += 1
-    assert hits == 10
-    assert exact.DefectTable(1, 2, 1).value(1, 2, 1) == 10
-
-
-def test_table_refuses_negative_indices():
-    table = exact.DefectTable(2, 2, 2)
-    for r, s, k in [(-1, 0, 0), (0, -1, 1), (-1, 1, 1), (1, 1, -1)]:
-        with pytest.raises(ValueError, match="outside table bounds"):
-            table.value(r, s, k)
-
-
 def test_table_rejects_bad_bounds_and_out_of_range():
     with pytest.raises(ValueError):
         exact.DefectTable(-1, 2, 2)
     table = exact.DefectTable(2, 2, 1)
-    with pytest.raises(ValueError):
-        table.value(3, 1, 0)
-    with pytest.raises(ValueError):
-        table.value(1, 1, 40)
+    for r, s, k in [(-1, 0, 0), (0, -1, 1), (-1, 1, 1), (1, 1, -1), (3, 1, 0), (1, 1, 40)]:
+        with pytest.raises(ValueError, match="outside table bounds"):
+            table.value(r, s, k)
 
 
 @pytest.mark.parametrize("bounds", [(0, 0, 0), (0, 6, 4), (6, 0, 4), (1, 1, 9),
@@ -232,14 +196,6 @@ def test_split_rule():
     assert exact._split(200, 390) == 201
     for n, m in [(0, 0), (1, 0), (1, 7), (5, 0), (5, 1)]:
         assert exact._split(n, m) == max(0, m - n + 1)
-
-
-@pytest.mark.parametrize("n,m", [(37, 50), (60, 41), (45, 45), (10 ** 15, 30)])
-def test_ladder_every_split_gives_the_same_tails(n, m):
-    lo = max(0, m - n + 1)
-    want = [exact.tail_sum(n, m, k) for k in range(lo + 1, m + 1)]
-    for split in range(lo, m + 1):
-        assert exact._abel_tails(n, m, split) == want, split
 
 
 def test_distribution_record():

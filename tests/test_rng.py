@@ -32,7 +32,10 @@ def test_uniform_int_range_and_determinism():
 
 
 def test_uniform_block_matches_scalar():
-    for seed, n in ((5, 3), (99, 10), (7, 64), (123456789, 1000)):
+    # at n = 3 the limit 2**64 - (2**64 mod 3) is 2**64 - 1, and word 0 of
+    # seed 0x31628AF67B2131AB (mix64 inverted) is that very word: both
+    # paths must reject it
+    for seed, n in ((5, 3), (99, 10), (7, 64), (123456789, 1000), (0x31628AF67B2131AB, 3)):
         gen = SplitMix64(seed)
         scalar = [gen.uniform_int(n) for _ in range(500)]
         assert uniform_block(seed, n, 500).tolist() == scalar
@@ -45,8 +48,10 @@ def test_uniform_block_rejection_fallback():
     gen = SplitMix64(11)
     scalar = [gen.uniform_int(n) for _ in range(64)]
     assert uniform_block(11, n, 64).tolist() == scalar
-    with pytest.raises(ValueError):
-        uniform_block(11, 1 << 63, 4)
+    for bad_n, count in ((1 << 63, 4), (0, 4), (3, -1)):
+        with pytest.raises(ValueError):
+            uniform_block(11, bad_n, count)
+    assert uniform_block(11, 3, 0).tolist() == []
 
 
 def test_residue_windows_match_stream():
@@ -89,13 +94,6 @@ def test_residue_windows_match_scalar_draws(n):
         assert draws.dtype == np.int64
         assert draws.tolist() == want
         assert word == gen.words
-
-
-def test_uniform_block_power_of_two_range():
-    got = uniform_block(3, 16, 1000)
-    assert got.min() >= 1 and got.max() <= 16
-    gen = SplitMix64(3)
-    assert got.tolist() == [gen.uniform_int(16) for _ in range(1000)]
 
 
 def test_sub_seed_properties():

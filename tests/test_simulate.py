@@ -41,15 +41,6 @@ def test_park_one_space_two_drivers():
     assert simulate.park(1, (1, 1)).defect == 1
 
 
-def test_park_rejects_bad_choices():
-    with pytest.raises(ValueError):
-        simulate.park(3, (0,))
-    with pytest.raises(ValueError):
-        simulate.park(3, (4,))
-    with pytest.raises(ValueError):
-        simulate.park(-1, ())
-
-
 @pytest.mark.parametrize("fn", [simulate.park, simulate.park_naive,
                                 simulate.defect_by_suffix_counts])
 @pytest.mark.parametrize("n, choices, bad", [
@@ -89,17 +80,6 @@ def test_park_naive_walk_home_sentinel():
     assert naive.defect == 2
     assert naive == simulate.park(3, [3, 3, 2, 1, 1])
     assert simulate.park_naive(0, ()).defect == 0
-
-
-def test_park_matches_naive_random_instances():
-    gen = SplitMix64(2024)
-    for _ in range(2000):
-        n = gen.uniform_int(50)
-        m = gen.uniform_int(80)
-        choices = [gen.uniform_int(n) for _ in range(m)]
-        fast = simulate.park(n, choices)
-        assert fast == simulate.park_naive(n, choices)
-        assert fast.defect == simulate.defect_by_suffix_counts(n, choices)
 
 
 def test_park_outcome_consistency():
@@ -221,15 +201,6 @@ def test_enumerate_degenerate():
         simulate.enumerate_exhaustive(0, 2)
 
 
-def test_sample_deterministic_replay():
-    a = simulate.sample_empirical(9, 12, 5000, seed=123)
-    b = simulate.sample_empirical(9, 12, 5000, seed=123)
-    assert a == b
-    assert sum(a.counts) == 5000
-    c = simulate.sample_empirical(9, 12, 5000, seed=124)
-    assert c != a
-
-
 def test_sample_forced_outcomes():
     emp = simulate.sample_empirical(1, 1, 1000, seed=6)
     assert emp.counts == (1000, 0)
@@ -242,13 +213,6 @@ def test_tail_frequency_refuses_negative_k():
     assert emp.tail_frequency(0) == 1.0
     with pytest.raises(ValueError):
         emp.tail_frequency(-1)
-
-
-def test_sample_tail_within_three_standard_errors():
-    emp = simulate.sample_empirical(100, 100, 10 ** 5, seed=1)
-    p = exact.ratio_as_float(exact.tail_sum_alternating(100, 100, 10), 100 ** 100)
-    se = math.sqrt(p * (1 - p) / 10 ** 5)
-    assert abs(emp.tail_frequency(10) - p) <= 3 * se
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (6, 1), (40, 9), (9, 40),
