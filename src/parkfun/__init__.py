@@ -18,9 +18,6 @@ from .asymptotic import (
     defect_ratio_limit,
     density_integral_check,
     full_lot_limit,
-    full_lot_series,
-    limiting_tail,
-    phi,
     pmf_approx,
     rayleigh_cdf,
     tree_function,
@@ -55,12 +52,9 @@ __all__ = [
     "density_integral_check",
     "enumerate_exhaustive",
     "full_lot_limit",
-    "full_lot_series",
-    "limiting_tail",
     "park",
     "park_naive",
     "parking_function_count",
-    "phi",
     "pmf_approx",
     "rayleigh_cdf",
     "ratio_as_float",

@@ -75,7 +75,7 @@ def tree_function(v: float) -> float:
     return min(max(t, 0.0), 1.0)
 
 
-def limiting_tail(x: float, y: float) -> float:
+def _limiting_tail(x: float, y: float) -> float:
     """Limit of P(defect >= x*sqrt(n)) with m = n + y*sqrt(n) drivers."""
     if x < 0.0:
         raise ValueError("x must be nonnegative")
@@ -177,7 +177,7 @@ def full_lot_limit(lam: float) -> float:
     return 1.0 - tree_function(v) / lam
 
 
-def full_lot_series(lam: float, terms: int) -> float:
+def _full_lot_series(lam: float, terms: int) -> float:
     """Partial sum of the series form of T(lambda*e**-lambda)/lambda.
 
     sum_{i=0}^{terms-1} lambda**i/i! * (i+1)**(i-1) * e**(-lambda*(1+i)),
@@ -196,7 +196,7 @@ def full_lot_series(lam: float, terms: int) -> float:
     return total
 
 
-def phi(ell: int, k: int) -> float:
+def _phi(ell: int, k: int) -> float:
     """Limit of n*(tail probability - 1) for fixed defect k, m = n + ell.
 
     -(k - ell) * sum_{i=0}^{k-1} (-1)**i/i! * (k-i)**i * e**(k-i) for
@@ -226,6 +226,6 @@ def defect_ratio_limit(ell: int, k: int) -> float:
         raise ValueError("ratio limit undefined for ell > 0 (denominator is 0)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = phi(ell, k) - phi(ell, k + 1)
-    den = phi(ell, 0) - phi(ell, 1)
+    num = _phi(ell, k) - _phi(ell, k + 1)
+    den = _phi(ell, 0) - _phi(ell, 1)
     return num / den

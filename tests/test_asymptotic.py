@@ -53,17 +53,17 @@ class TestTreeFunction:
 
 class TestTailLimits:
     def test_values(self):
-        assert asymptotic.limiting_tail(1.0, 0.0) == pytest.approx(math.exp(-2), abs=1e-15)
-        assert asymptotic.limiting_tail(0.5, 1.0) == 1.0
-        assert asymptotic.limiting_tail(0.7, 0.7) == 1.0
+        assert asymptotic._limiting_tail(1.0, 0.0) == pytest.approx(math.exp(-2), abs=1e-15)
+        assert asymptotic._limiting_tail(0.5, 1.0) == 1.0
+        assert asymptotic._limiting_tail(0.7, 0.7) == 1.0
 
     def test_continuous_at_boundary(self):
         # x just above y: exp(-2x(x-y)) -> 1
-        assert asymptotic.limiting_tail(0.7 + 1e-12, 0.7) == pytest.approx(1.0, abs=1e-10)
+        assert asymptotic._limiting_tail(0.7 + 1e-12, 0.7) == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
-            asymptotic.limiting_tail(-0.1, 0.0)
+            asymptotic._limiting_tail(-0.1, 0.0)
 
     def test_rayleigh(self):
         assert asymptotic.rayleigh_cdf(0.0) == 0.0
@@ -71,7 +71,7 @@ class TestTailLimits:
         assert asymptotic.rayleigh_cdf(1.0) == pytest.approx(1 - math.exp(-2), abs=1e-15)
         for x in (0.0, 0.3, 1.7):
             assert asymptotic.rayleigh_cdf(x) == pytest.approx(
-                1.0 - asymptotic.limiting_tail(x, 0.0), abs=1e-15)
+                1.0 - asymptotic._limiting_tail(x, 0.0), abs=1e-15)
         with pytest.raises(ValueError):
             asymptotic.rayleigh_cdf(-1.0)
 
@@ -139,34 +139,34 @@ class TestFullLot:
 
     def test_series_single_term(self):
         for lam in (0.3, 1.0, 2.5):
-            assert asymptotic.full_lot_series(lam, 1) == pytest.approx(
+            assert asymptotic._full_lot_series(lam, 1) == pytest.approx(
                 math.exp(-lam), abs=1e-15)
 
     def test_series_converges_to_tree_function(self):
         # at lambda = 0.5 the 60-term sum is still ~7e-8 away: convergence
         # is geometric with ratio lambda*e^(1-lambda), not instantaneous
-        assert abs(asymptotic.full_lot_series(0.5, 60) - 1.0) <= 1e-6
+        assert abs(asymptotic._full_lot_series(0.5, 60) - 1.0) <= 1e-6
 
     def test_series_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            asymptotic.full_lot_series(-1.0, 10)
+            asymptotic._full_lot_series(-1.0, 10)
         with pytest.raises(ValueError):
-            asymptotic.full_lot_series(1.0, 0)
+            asymptotic._full_lot_series(1.0, 0)
 
 
 class TestPhiAndRatios:
     def test_phi_values(self):
-        assert asymptotic.phi(0, 0) == 0.0
-        assert asymptotic.phi(1, 1) == 0.0
-        assert asymptotic.phi(0, 1) == pytest.approx(-E, abs=1e-12)
-        assert asymptotic.phi(0, 2) == pytest.approx(-2 * (E ** 2 - E), abs=1e-12)
+        assert asymptotic._phi(0, 0) == 0.0
+        assert asymptotic._phi(1, 1) == 0.0
+        assert asymptotic._phi(0, 1) == pytest.approx(-E, abs=1e-12)
+        assert asymptotic._phi(0, 2) == pytest.approx(-2 * (E ** 2 - E), abs=1e-12)
 
     def test_phi_against_exact_counts(self):
         # n * (S(n,n,2)/n^n - 1) at n = 10^4 should be near phi(0, 2)
         n = 10 ** 4
         deficit = n ** n - exact.tail_sum_alternating(n, n, 2)
         val = -n * exact.ratio_as_float(deficit, n ** n)
-        assert abs(val - asymptotic.phi(0, 2)) < 0.01
+        assert abs(val - asymptotic._phi(0, 2)) < 0.01
 
     def test_ratio_limits(self):
         # (0, 1) and (0, 2) are the check ratio-limit-values; (0, 0) is

@@ -1,6 +1,8 @@
-"""CLI behavior: golden output, formats, determinism, exit codes."""
+"""CLI behavior: the stdout corpus, formats, exit codes, checks against other routes."""
 
+import hashlib
 import json
+import runpy
 import time
 from pathlib import Path
 
@@ -8,7 +10,8 @@ import pytest
 
 from parkfun import checks, cli, exact, simulate
 
-GOLDEN = Path(__file__).parent / "data" / "table1_golden.txt"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = json.loads((ROOT / "tests" / "data" / "cli_golden.json").read_text())
 
 
 def run_cli(capsys, *argv):
@@ -23,22 +26,30 @@ def csv_rows(text):
     return header, [dict(zip(header, ln.split(","))) for ln in lines[1:]]
 
 
+@pytest.mark.parametrize("entry", CORPUS.values(), ids=CORPUS.keys())
+def test_stdout_matches_corpus(capsys, entry):
+    """Exit code, stdout digest and error line, as recorded in cli_golden.json.
+
+    A change that alters an output on purpose records the new digest,
+    which the failure message prints, by hand.
+    """
+    if "demo" in entry:
+        runpy.run_path(str(ROOT / "demos" / f"{entry['demo']}.py"), run_name="__main__")
+        code = 0
+    else:
+        code = cli.main(entry["argv"])
+    out, err = capsys.readouterr()
+    # only the error line: argparse wraps its usage line to $COLUMNS
+    line = next((ln for ln in err.splitlines()
+                 if ln.startswith("refused: ") or "error: " in ln), None)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, line) == (entry["exit"], entry["stdout_sha256"],
+                                    entry.get("stderr")), (
+        f"{entry.get('argv', entry.get('demo'))}: exit {code} (recorded "
+        f"{entry['exit']}), stdout sha256 {digest}, error line {line!r}")
+
+
 class TestTable:
-    def test_golden_match_is_byte_exact(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--n", "10")
-        assert code == 0
-        assert out == GOLDEN.read_text()
-
-    def test_single_row(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--n", "1")
-        data = [ln for ln in out.splitlines()][1:]
-        assert code == 0 and data == ["1 1"]
-
-    def test_prefix_stability(self, capsys):
-        _, out12, _ = run_cli(capsys, "table", "--n", "12")
-        golden_rows = GOLDEN.read_text().splitlines()[1:]
-        assert out12.splitlines()[1:11] == golden_rows
-
     def test_config_echoed_to_stderr(self, capsys):
         _, out, err = run_cli(capsys, "table", "--n", "2")
         assert err.startswith("# config ")
@@ -62,29 +73,12 @@ class TestDist:
         assert got == list(simulate.enumerate_exhaustive(3, 5).counts)
         assert payload["config"]["command"] == "dist"
 
-    def test_trivial_case(self, capsys):
-        code, out, _ = run_cli(capsys, "dist", "--n", "1", "--m", "0")
-        _, rows = csv_rows(out)
-        assert code == 0 and len(rows) == 1
-        assert rows[0]["count"] == '"1"' and rows[0]["k"] == "0"
-
-    def test_single_k_row(self, capsys):
-        _, out, _ = run_cli(capsys, "dist", "--n", "4", "--m", "4", "--k", "2")
-        _, rows = csv_rows(out)
-        assert len(rows) == 1 and rows[0]["count"] == '"23"'
-
     def test_single_k_row_matches_full_law(self, capsys):
         _, full, _ = run_cli(capsys, "dist", "--n", "9", "--m", "12")
         _, rows = csv_rows(full)
         for k in (0, 3, 12):
             _, out, _ = run_cli(capsys, "dist", "--n", "9", "--m", "12", "--k", str(k))
             assert csv_rows(out)[1] == [rows[k]]
-
-    def test_single_k_refusals(self, capsys):
-        code, _, err = run_cli(capsys, "dist", "--n", "4", "--m", "4", "--k", "5")
-        assert code == 2 and "k must lie in 0..4" in err
-        code, _, err = run_cli(capsys, "dist", "--n", "0", "--m", "3", "--k", "1")
-        assert code == 2 and "no spaces" in err
 
     def test_json_roundtrip(self, capsys):
         _, out, _ = run_cli(capsys, "dist", "--n", "5", "--m", "3",
@@ -170,28 +164,8 @@ class TestPlotdataFig2:
         want = exact.ratio_as_float(count, 20 ** 40)
         assert float(row["exact_full_probability"]) == pytest.approx(want, rel=1e-14)
 
-    @pytest.mark.parametrize("argv", [
-        ("--n", "-3", "--lambda-min", "1.5", "--lambda-max", "1.6"),
-        ("--n", "0"),
-        ("--n", "10", "--n", "0"),
-    ])
-    def test_lot_without_spaces_is_refused(self, capsys, argv):
-        code, out, err = run_cli(capsys, "plotdata-fig2", *argv)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ")
-
 
 class TestSimulate:
-    def test_replay_is_byte_identical(self, capsys, tmp_path):
-        path = tmp_path / "run.csv"
-        argv = ["simulate", "--n", "6", "--m", "8", "--trials", "500",
-                "--seed", "9", "--out", str(path)]
-        assert cli.main(argv) == 0
-        first = path.read_bytes()
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        assert path.read_bytes() == first
-
     def test_small_case_frequencies(self, capsys):
         _, out, _ = run_cli(capsys, "simulate", "--n", "2", "--m", "3",
                             "--trials", "10000", "--seed", "1")
@@ -219,29 +193,8 @@ class TestSimulate:
         _, rows = csv_rows(out)
         assert sum(int(r["count"].strip('"')) for r in rows) == 5000
 
-    def test_lot_beyond_int64_is_refused(self, capsys):
-        # residues of n > 2**63 overflow int64; 2**63 rejects no word
-        for n in (2 ** 64 - 1, 2 ** 63 + 1):
-            code, _, err = run_cli(capsys, "simulate", "--n", str(n), "--m", "5")
-            assert code == 2 and "sampling" in err
-        assert run_cli(capsys, "simulate", "--n", str(2 ** 63), "--m", "5")[0] == 0
-
 
 class TestCoupon:
-    def test_deterministic(self, capsys):
-        _, out1, _ = run_cli(capsys, "coupon", "--n", "10", "--seed", "42",
-                             "--trials", "3")
-        _, out2, _ = run_cli(capsys, "coupon", "--n", "10", "--seed", "42",
-                             "--trials", "3")
-        assert out1 == out2
-        _, rows = csv_rows(out1)
-        assert len(rows) == 3 and all(int(r["cars"]) >= 10 for r in rows)
-
-    def test_single_space(self, capsys):
-        _, out, _ = run_cli(capsys, "coupon", "--n", "1", "--seed", "5")
-        _, rows = csv_rows(out)
-        assert rows[0]["cars"] == "1"
-
     def test_lot_beyond_cap_is_refused(self, capsys):
         # about 36 bytes a space: 10**10 spaces would need some 360 GB
         for n in (10 ** 10, simulate.COUPON_SPACE_CAP + 1):
@@ -312,14 +265,6 @@ class TestTailSumTie:
 
 
 class TestPlumbing:
-    def test_usage_errors(self, capsys):
-        assert run_cli(capsys, "dist", "--n", "0", "--m", "3")[0] == 2
-        assert run_cli(capsys, "dist", "--n", "4")[0] == 2          # missing --m
-        assert run_cli(capsys, "nope")[0] == 2                      # unknown command
-        assert run_cli(capsys, "dist", "--n", "2", "--m", "2",
-                       "--bogus", "1")[0] == 2                      # unknown flag
-        assert run_cli(capsys, "verify", "--cap", "10")[0] == 2     # removed flag
-
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "dist.csv"
         assert cli.main(["dist", "--n", "4", "--m", "4", "--out", str(path)]) == 0
@@ -337,11 +282,6 @@ class TestPlumbing:
         assert code == 2 and out == ""
         last = err.splitlines()[-1]
         assert last.startswith("error: ") and str(tmp_path) in last
-
-    def test_csv_runs_are_byte_identical(self, capsys):
-        _, out1, _ = run_cli(capsys, "dist", "--n", "6", "--m", "6")
-        _, out2, _ = run_cli(capsys, "dist", "--n", "6", "--m", "6")
-        assert out1 == out2
 
     def test_cached_parser_keeps_no_state(self, capsys):
         # each run's output equals the same command's on a fresh parser, so

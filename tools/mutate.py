@@ -8,7 +8,10 @@ too), // -> *, < <-> <=, > <-> >=, and == <-> !=.  A mutant is written
 with ast.unparse into a worker's own copy of src/, and the tests under
 tests/ run against that copy with `pytest -x`; it is killed when any
 test fails or errors, or when the run outlasts four times the unmutated
-run.  One worker runs per core.
+run.  One worker runs per core, and each pytest run is capped at
+MEMORY_CAP bytes of address space, so a mutant that allocates in an
+endless loop (say, a lambda grid whose step no longer moves) dies with
+MemoryError rather than taking the host's memory until its timeout.
 
 The test that killed each mutant is cached in tools/.mutate_cache.json
 (not tracked) and runs alone first the next time, so a mutant killed
@@ -43,6 +46,11 @@ ROOT = Path(__file__).resolve().parents[1]
 WORKERS = os.cpu_count() or 1
 CACHE = ROOT / "tools" / ".mutate_cache.json"
 ACCEPTED = ROOT / "tools" / "equivalent_mutants.txt"
+# tier-1 passes under 512 MiB of address space; twice that leaves headroom
+MEMORY_CAP = 1 << 30
+PYTEST = ("import resource, sys, pytest; "
+          f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP}, {MEMORY_CAP})); "
+          "sys.exit(pytest.console_main())")
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.FloorDiv: ast.Mult,
          ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -111,7 +119,7 @@ def accepted(module: str) -> set[str]:
 
 def run_tests(src: Path, args: list[str], timeout: float) -> tuple[str, str | None]:
     """('pass' | 'fail' | 'timeout' | 'error', first failing test id) for one pytest run."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+    cmd = [sys.executable, "-c", PYTEST, "-x", "-q", "-rfE", "-p", "no:cacheprovider",
            "-o", f"pythonpath={src}", *args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
