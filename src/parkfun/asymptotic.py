@@ -201,10 +201,9 @@ def _phi(ell: int, k: int) -> float:
 
     -(k - ell) * sum_{i=0}^{k-1} (-1)**i/i! * (k-i)**i * e**(k-i) for
     k > ell, and 0 otherwise.  The alternating terms are summed with
-    Kahan compensation.
+    Kahan compensation.  k >= 0: defect_ratio_limit, its one public
+    caller, refuses a negative k.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
     if k <= ell:
         return 0.0
     total = 0.0

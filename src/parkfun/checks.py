@@ -11,7 +11,10 @@ Every check owns one fixed grid: its bounds, seed and trial count are
 constants in its body, and it takes no argument.  The one exception is
 check_park_implementations(instances), which the quick suite runs on
 2000 instances and the full suite on 10**4.  No test calls a check with
-arguments, so each invariant runs on one grid, through one path.
+arguments, so each invariant runs on one grid, through one path.  Its
+instances are the first `instances` lots of _park_instances, which reads
+seed 0xC0FFEE's stream through rng._BlockReader: the same lots as scalar
+SplitMix64 draws, at block speed.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -25,7 +28,7 @@ import math
 from typing import Callable
 
 from . import asymptotic, exact, simulate
-from .rng import SplitMix64, sub_seed
+from .rng import SplitMix64, _BlockReader, sub_seed
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +188,26 @@ def check_exhaustive_oracle_full():
     return _enumeration_agrees(exhaustive_pairs())
 
 
-def check_park_implementations(instances: int = 2000):
-    gen = SplitMix64(0xC0FFEE)
+def _park_instances(instances: int):
+    """The lots (n, choices) that check_park_implementations compares on.
+
+    Each draws n on 1..40, then m on 1..60, then m choices on 1..n, from
+    the one stream of seed 0xC0FFEE: the same instances as successive
+    `SplitMix64(0xC0FFEE).uniform_int` calls, read through the block
+    reader.
+    """
+    stream = _BlockReader(0xC0FFEE)
     for _ in range(instances):
-        n = gen.uniform_int(40)
-        m = gen.uniform_int(60)
-        choices = [gen.uniform_int(n) for _ in range(m)]
+        (n,) = stream.uniform_ints(40, 1)
+        (m,) = stream.uniform_ints(60, 1)
+        yield n, stream.uniform_ints(n, m)
+
+
+def check_park_implementations(instances: int = 2000):
+    # park's pointer jumping, the slot-by-slot naive park and the
+    # suffix-count defect rule must agree on each lot of _park_instances,
+    # which the block reader draws
+    for n, choices in _park_instances(instances):
         fast = simulate.park(n, choices)
         naive = simulate.park_naive(n, choices)
         if fast != naive:

@@ -183,7 +183,7 @@ def cmd_simulate(args) -> int:
     from . import simulate
     emp = simulate.sample_empirical(args.n, args.m, args.trials, args.seed)
     exact_probs = None
-    if args.m * max(args.n.bit_length(), 1) <= _EXACT_COLUMN_BIT_LIMIT:
+    if args.m * args.n.bit_length() <= _EXACT_COLUMN_BIT_LIMIT:
         exact_probs = exact.defect_distribution(args.n, args.m).probabilities()
     rows = []
     for k in range(args.m + 1):

@@ -80,14 +80,19 @@ class TestPmfApprox:
     def test_direct_value(self):
         assert asymptotic.pmf_approx(100, 100, 5) == pytest.approx(
             0.2 * math.exp(-0.5), abs=1e-15)
+        # the smallest lot the formula takes: n = 1, m = 0
+        assert asymptotic.pmf_approx(1, 0, 1) == pytest.approx(6 * math.exp(-4), abs=1e-15)
 
     def test_regime_enforced(self):
         with pytest.raises(ValueError):
             asymptotic.pmf_approx(100, 100, 0)  # m = n + k
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m=110, n\+k=105$"):
             asymptotic.pmf_approx(100, 110, 5)
         with pytest.raises(ValueError):
             asymptotic.pmf_approx(0, 0, 1)
+        for m, k in ((-1, 1), (1, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                asymptotic.pmf_approx(5, m, k)
 
     def test_tracks_exact_probability(self):
         # agreement at n = 100 is good but not perfect; the worst gap over
@@ -177,3 +182,5 @@ class TestPhiAndRatios:
     def test_ratio_limit_rejects_positive_ell(self):
         with pytest.raises(ValueError):
             asymptotic.defect_ratio_limit(1, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            asymptotic.defect_ratio_limit(0, -1)

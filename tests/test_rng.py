@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from parkfun.rng import SplitMix64, _Residues, mix64, sub_seed, uniform_block
+from parkfun.rng import (_BLOCK_WORDS, SplitMix64, _BlockReader, _Residues, mix64,
+                         sub_seed, uniform_block)
 
 # SplitMix64 outputs for seed 1234567, as published for the reference
 # implementation (e.g. the rand crate's splitmix64 test vector).
@@ -94,6 +95,35 @@ def test_residue_windows_match_scalar_draws(n):
         assert draws.dtype == np.int64
         assert draws.tolist() == want
         assert word == gen.words
+
+
+@pytest.mark.parametrize("seed, n", [
+    (0x31628AF67B2131AB, 3),   # word 0 is 2**64 - 1, the one word n = 3 rejects
+    (17, 40),
+    (17, 64),                  # a power of two: no word is rejected
+    (23, (1 << 62) + 1),       # about a quarter of the words are rejected
+    (23, (1 << 63) + 1),       # about half
+])
+def test_block_reader_matches_scalar_draws(seed, n):
+    gen = SplitMix64(seed)
+    want = [gen.uniform_int(n) for _ in range(500)]
+    assert _BlockReader(seed).uniform_ints(n, 500) == want
+
+
+def test_block_reader_changes_modulus_across_blocks():
+    # one stream read with a new n on each call: a call that ends 5 words
+    # short of the block, an empty call, one that straddles the boundary,
+    # one longer than a whole block, and a last empty one
+    gen = _CountedWords(99)
+    reader = _BlockReader(99)
+    calls = [(40, _BLOCK_WORDS - 5), (7, 0), (1000, 10),
+             ((1 << 63) + 1, _BLOCK_WORDS + 7), (3, 0)]
+    words = []
+    for n, count in calls:
+        want = [gen.uniform_int(n) for _ in range(count)]
+        assert reader.uniform_ints(n, count) == want
+        words.append(gen.words)
+    assert words[:3] == [_BLOCK_WORDS - 5, _BLOCK_WORDS - 5, _BLOCK_WORDS + 5]
 
 
 def test_sub_seed_properties():

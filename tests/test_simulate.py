@@ -181,6 +181,11 @@ def test_enumerate_cap_refusal():
     with pytest.raises(simulate.EnumerationCapError,
                        match=r"^3\*\*17 = 129140163 sequences exceeds"):
         simulate.enumerate_exhaustive(3, 17)
+    # 2**27 > 10**8 and low = 27 is the cap's bit length, so the power
+    # is refused unbuilt and the message gives no value
+    with pytest.raises(simulate.EnumerationCapError,
+                       match=r"^2\*\*27 sequences exceeds the enumeration cap 100000000$"):
+        simulate.enumerate_exhaustive(2, 27)
 
 
 def test_enumerate_huge_lot_refused_unbuilt():
