@@ -225,6 +225,5 @@ def defect_ratio_limit(ell: int, k: int) -> float:
         raise ValueError("ratio limit undefined for ell > 0 (denominator is 0)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    num = _phi(ell, k) - _phi(ell, k + 1)
-    den = _phi(ell, 0) - _phi(ell, 1)
-    return num / den
+    # _phi(ell, 0) is +-0.0 for ell <= 0, so the denominator drops it
+    return (_phi(ell, k) - _phi(ell, k + 1)) / -_phi(ell, 1)

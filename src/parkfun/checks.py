@@ -398,16 +398,23 @@ def check_phi_consistency():
 
 
 def check_full_lot_ordering():
-    for i in range(105, 401, 5):
+    # plotdata-fig2's walk along m, bit for bit against point queries on
+    # lambda = 1.05..4: n <= 3 sums one U term or none, n = 10 repeats m
+    # and n = 20 starts above n; then the curves' order at n = 10, 20
+    lams = range(105, 401, 5)
+    probs = {}
+    for n in (1, 2, 3, 10, 20):
+        ms = [(i * n) // 100 for i in lams]
+        counts = exact._full_lot_counts(n, ms)
+        for m, count in zip(ms, counts):
+            if count != exact.defect_count_explicit(n, m, m - n):
+                return False, f"full-lot walk gave {count} at n={n}, m={m}"
+        probs[n] = [exact.ratio_as_float(c, n ** m) for m, c in zip(ms, counts)]
+    for i, p10, p20 in zip(lams, probs[10], probs[20]):
         lam = i / 100.0
         limit = asymptotic.full_lot_limit(lam)
-        vals = []
-        for n in (10, 20):
-            m = (i * n) // 100
-            count = exact.defect_count_explicit(n, m, m - n)
-            vals.append(exact.ratio_as_float(count, n ** m))
-        if not vals[0] >= vals[1] >= limit:
-            return False, f"full-lot ordering broken at lambda={lam}: {vals} vs {limit}"
+        if not p10 >= p20 >= limit:
+            return False, f"full-lot ordering broken at lambda={lam}: {[p10, p20]} vs {limit}"
     return True, ""
 
 

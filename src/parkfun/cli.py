@@ -20,7 +20,8 @@ so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an
 --out path that cannot be written (OSError), 3 refusal (exact.BudgetError)
-of a coupon lot above COUPON_SPACE_CAP spaces.
+of a coupon lot above COUPON_SPACE_CAP spaces or of a plotdata-fig2 lambda
+grid above _LAMBDA_GRID_CAP points.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP_REFUSED = 3
+
+# a plotdata-fig2 lambda grid is built whole before its first row
+_LAMBDA_GRID_CAP = 10 ** 5
 
 # counts stay exact far beyond this, but probability columns need n**m;
 # beyond ~200k bits the exact column is skipped rather than stalled on
@@ -148,20 +152,25 @@ def _lambda_grid(lo: float, hi: float, step: float) -> list[Fraction]:
     flo, fhi, fstep = (Fraction(str(x)) for x in (lo, hi, step))
     if fstep <= 0 or flo <= 0:
         raise ValueError("lambda grid must be positive with positive step")
-    grid = []
-    lam = flo
-    while lam <= fhi:
-        grid.append(lam)
-        lam += fstep
-    return grid
+    points = (fhi - flo) // fstep + 1
+    if points > _LAMBDA_GRID_CAP:
+        raise exact.BudgetError(
+            f"{points} lambda values exceed the grid cap {_LAMBDA_GRID_CAP}")
+    return [flo + i * fstep for i in range(points)]
 
 
 def cmd_plotdata_fig2(args) -> int:
     n_list = args.n if args.n else [10, 20]
     if min(n_list) < 1:
         raise ValueError("plotdata-fig2 needs n >= 1")
+    grid = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
+    # each column is one walk along its increasing m = floor(lambda * n) >= n
+    full = {}
+    for n in set(n_list):
+        ms = [m for m in dict.fromkeys(int(lam * n) for lam in grid) if m >= n]
+        full[n] = dict(zip(ms, exact._full_lot_counts(n, ms)))
     rows = []
-    for lam in _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step):
+    for lam in grid:
         lam_f = float(lam)
         limit = asymptotic.full_lot_limit(lam_f)
         for n in n_list:
@@ -169,8 +178,7 @@ def cmd_plotdata_fig2(args) -> int:
             if m < n:
                 p_full = 0.0
             else:
-                p_full = exact.ratio_as_float(
-                    exact.defect_count_explicit(n, m, m - n), n ** m)
+                p_full = exact.ratio_as_float(full[n][m], n ** m)
             rows.append({"n": n, "lambda": lam_f, "m": m,
                          "exact_full_probability": p_full, "limit": limit})
     _write(_emit(_config(args, n=n_list),

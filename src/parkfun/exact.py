@@ -52,6 +52,14 @@ about (m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, half of
 Abel's form alone at n = m.  tail_sum stays the point query, and
 tail_sum_alternating the independent check.
 
+plotdata-fig2 needs the full-lot count cp(n, m, m - n) for a whole
+column of increasing m at one n.  _full_lot_counts takes Abel's form at
+a = 1, b = n - 1 for all of them at once: its n - 2 terms are
+C(m, i) U_i(m), and U_i(m) = (i + 1)**(i - 1) (n - 1 - i)**(m - i) moves
+to m + d by one multiply by (n - 1 - i)**d, with no division.  So each
+further m costs n - 2 multiplies and the walk of C(m, i), not 2(n - 2)
+fresh big powers.
+
 No state is kept between calls: defect_count_recurrence builds the
 table its query needs, and nothing is cached.
 
@@ -192,6 +200,35 @@ def tail_sum(n: int, m: int, k: int) -> int:
         return 0
     b = m - k
     return b ** m + (n - b) * sum(_diagonal(n, m, b, 1, b - 1))
+
+
+def _full_lot_counts(n: int, ms: list[int]) -> list[int]:
+    """[cp(n, m, m - n) for m in ms], for n >= 1 and n <= ms[0] <= ms[1] <= ...
+
+    The lot is full when exactly m - n drivers walk, and cp(n, m, m - n)
+    = n**m - S(n, m, m - n + 1), the first term a tail_sum call.  The
+    second is Abel's form at a = 1, b = n - 1,
+
+        S(n, m, m - n + 1) = b**m + sum_{i=1}^{b-1} C(m, i) U_i(m),
+
+    with U_i(m) = (i + 1)**(i - 1) * (b - i)**(m - i), the terms R(i, b - i)
+    of _diagonal without their binomial.  Each U_i is built once, at
+    m = n, and walked up the list, U_i(m + d) = U_i(m) * (b - i)**d, so
+    the walk along m has no division.  C(m, i) is walked along i as in
+    _diagonal, one exact small divide per term.
+    """
+    b, at = n - 1, n
+    us = [(i + 1) ** (i - 1) * (b - i) ** (n - i) for i in range(1, b)]
+    counts = []
+    for m in ms:
+        us = [u * (b - i) ** (m - at) for i, u in enumerate(us, 1)]
+        at = m
+        s, c = 0, m
+        for i, u in enumerate(us, 1):
+            s += c * u
+            c = c * (m - i) // (i + 1)
+        counts.append(tail_sum(n, m, m - n) - b ** m - s)
+    return counts
 
 
 def tail_sum_alternating(n: int, m: int, k: int) -> int:

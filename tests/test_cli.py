@@ -164,6 +164,18 @@ class TestPlotdataFig2:
         want = exact.ratio_as_float(count, 20 ** 40)
         assert float(row["exact_full_probability"]) == pytest.approx(want, rel=1e-14)
 
+    def test_lambda_grid_cap_edge(self, capsys, monkeypatch):
+        # the point count comes from the exact Fractions, before any is built
+        monkeypatch.setattr(cli, "_LAMBDA_GRID_CAP", 3)
+        argv = ("plotdata-fig2", "--n", "10", "--lambda-min", "1", "--lambda-step", "0.1")
+        code, out, _ = run_cli(capsys, *argv, "--lambda-max", "1.2")
+        assert code == 0 and len(csv_rows(out)[1]) == 3
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "--lambda-max", "1000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (3, "")
+        assert "refused: 9999991 lambda values exceed the grid cap 3" in err
+
 
 class TestSimulate:
     def test_small_case_frequencies(self, capsys):
@@ -254,6 +266,7 @@ class TestTailSumTie:
         ("dist", "--n", "9", "--m", "7"),
         ("table", "--n", "6"),
         ("plotdata-fig1", "--n", "20", "--m", "18"),
+        ("plotdata-fig2", "--n", "12"),
     ])
     def test_off_by_one_tail_sum_changes_output(self, capsys, monkeypatch, argv):
         _, want, _ = run_cli(capsys, *argv)

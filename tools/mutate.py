@@ -15,7 +15,15 @@ MemoryError rather than taking the host's memory until its timeout.
 
 The test that killed each mutant is cached in tools/.mutate_cache.json
 (not tracked) and runs alone first the next time, so a mutant killed
-before costs one short pytest run, not the tests up to its killer.
+before costs one short pytest run, not the tests up to its killer.  Runs
+are unbuffered and print each test's id as it starts, so a run cut at
+its timeout has printed the id of the test it hung in last, and that
+test is cached as the killer too.  Only the test lines are verbose: -v
+would also spell out assertion diffs in full, which takes up to a
+minute on a failing comparison of two long lists.  A killer runs alone under four times its own share of the
+unmutated run (its setup, call and teardown, from --durations, plus the
+run's start-up and collection), so a mutant that loops costs seconds on
+the next run, not the whole suite's timeout.
 
 A mutant's key is its enclosing function, operator, source text and the
 occurrence of that text among the function's sites with that operator,
@@ -117,22 +125,37 @@ def accepted(module: str) -> set[str]:
     return keys
 
 
-def run_tests(src: Path, args: list[str], timeout: float) -> tuple[str, str | None]:
-    """('pass' | 'fail' | 'timeout' | 'error', first failing test id) for one pytest run."""
-    cmd = [sys.executable, "-c", PYTEST, "-x", "-q", "-rfE", "-p", "no:cacheprovider",
-           "-o", f"pythonpath={src}", *args]
+def run_tests(src: Path, args: list[str], timeout: float) -> tuple[str, str | None, str]:
+    """(status, test id, stdout) for one pytest run.
+
+    status is 'pass', 'fail', 'timeout' or 'error'; the test id is the
+    first failing test's, or on a timeout the last test that started.
+    """
+    cmd = [sys.executable, "-u", "-c", PYTEST, "-x", "-q", "-o", "verbosity_test_cases=1",
+           "-rfE", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *args]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     try:
         out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                              timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return "timeout", None
+    except subprocess.TimeoutExpired as exc:
+        # the partial output comes as bytes, text=True or not
+        partial = (exc.stdout or b"").decode(errors="replace")
+        started = re.findall(r"^(tests/\S+::\S+)", partial, re.M)
+        return "timeout", started[-1] if started else None, partial
     if out.returncode == 0:
-        return "pass", None
+        return "pass", None, out.stdout
     if out.returncode in (1, 2):
         hit = re.search(r"^(?:FAILED|ERROR) (\S+)", out.stdout, re.M)
-        return "fail", hit.group(1) if hit else None
-    return "error", None        # usage error, or a cached test id that is gone
+        return "fail", hit.group(1) if hit else None, out.stdout
+    return "error", None, out.stdout    # usage error, or a cached test id that is gone
+
+
+def durations(out: str) -> dict[str, float]:
+    """Seconds per test id, setup, call and teardown summed, from --durations=0 output."""
+    per_test: dict[str, float] = {}
+    for secs, test in re.findall(r"^([\d.]+)s (?:setup|call|teardown) +(\S+)$", out, re.M):
+        per_test[test] = per_test.get(test, 0.0) + float(secs)
+    return per_test
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -156,24 +179,28 @@ def main(argv: list[str] | None = None) -> int:
         src = dirs.get()
         (src / rel).write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
         t0 = time.monotonic()
-        status, test = run_tests(src, [], timeout=3600)
+        status, test, out = run_tests(src, ["--durations=0", "--durations-min=0"],
+                                      timeout=3600)
         base_s = time.monotonic() - t0
         dirs.put(src)
         if status != "pass":
             print(f"the unmutated {rel} fails the tests ({status}: {test})", file=sys.stderr)
             return 2
         timeout = 4 * base_s
+        test_s = durations(out)
+        start_s = max(base_s - sum(test_s.values()), 0.0)
 
         def run(mutant: dict) -> tuple[str, str | None]:
             src = dirs.get()
             try:
                 (src / rel).write_text(mutant["code"], encoding="utf-8")
                 killer = killers.get(mutant["key"])
-                if killer:
-                    status, test = run_tests(src, [killer], timeout)
+                if killer in test_s:
+                    status, test, _ = run_tests(src, [killer],
+                                                4 * (start_s + test_s[killer]))
                     if status in ("fail", "timeout"):
                         return status, test or killer
-                return run_tests(src, [], timeout)
+                return run_tests(src, [], timeout)[:2]
             finally:
                 dirs.put(src)
 
