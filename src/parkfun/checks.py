@@ -23,6 +23,7 @@ the affected checks fail loudly.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from typing import Callable
@@ -258,15 +259,38 @@ def check_monte_carlo_calibration():
 
 
 def check_coupon_experiment():
-    runs = 1000
-    full = sum(1 for i in range(runs)
-               if simulate.cars_until_full(50, sub_seed(777, i)) <= 100)
-    frac = full / runs
-    p = exact.ratio_as_float(exact.defect_count_explicit(50, 100, 50), 50 ** 100)
+    # The lot is full after c cars exactly when c - n of them walked, so
+    # P(C <= c) = cp(n, c, c - n) / n**c.  One walk along c gives that CDF,
+    # cut at the first c where its tail falls below 1e-9 (c = 1026 here).
+    n, runs, top = 50, 1000, 21 * 50
+    cars = collections.Counter(simulate.cars_until_full(n, sub_seed(777, i))
+                               for i in range(runs))
+    cdf = []
+    for c, count in zip(range(n, top + 1), exact._full_lot_counts(n, range(n, top + 1))):
+        cdf.append(exact.ratio_as_float(count, n ** c))
+        if 1.0 - cdf[-1] < 1e-9:
+            break
+    else:
+        return False, f"P(C > {top}) = {1.0 - cdf[-1]:.3g} is not below 1e-9"
+    # Both CDFs step only at whole c, so the Kolmogorov-Smirnov D is a max
+    # over them; past the cut the exact CDF is within 1e-9 of 1.
+    seen, gap = 0, 0.0
+    for c, f in enumerate(cdf, n):
+        seen += cars[c]
+        gap = max(gap, abs(seen / runs - f))
+    ks = math.sqrt(runs) * max(gap, 1.0 - seen / runs)
+    mean = sum(c * k for c, k in cars.items()) / runs
+    detail = (f"sqrt(N) D = {ks:.2f} at N = {runs}; mean {mean:.2f} "
+              f"against exact {n + sum(1.0 - f for f in cdf):.2f}")
+    # Kolmogorov's upper 0.1 % point
+    if ks > 1.95:
+        return False, detail + ", beyond the 0.1 % point 1.95"
+    p = cdf[n]                              # P(C <= 2n)
+    frac = sum(k for c, k in cars.items() if c <= 2 * n) / runs
     se = math.sqrt(p * (1.0 - p) / runs)
     if abs(frac - p) > 4.0 * se:
-        return False, f"full-by-2n fraction {frac:.4f} vs exact {p:.4f} beyond 4 SE"
-    return True, ""
+        return False, f"full-by-2n fraction {frac:.4f} vs exact {p:.4f} beyond 4 SE; {detail}"
+    return True, detail
 
 
 # ---------------------------------------------------------------------------

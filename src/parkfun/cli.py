@@ -20,8 +20,9 @@ so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an
 --out path that cannot be written (OSError), 3 refusal (exact.BudgetError)
-of a coupon lot above COUPON_SPACE_CAP spaces or of a plotdata-fig2 lambda
-grid above _LAMBDA_GRID_CAP points.
+of a coupon lot above COUPON_SPACE_CAP spaces, of a plotdata-fig2 lambda
+grid above _LAMBDA_GRID_CAP points, or of a simulate or coupon run that
+would draw more than _WORD_BUDGET stream words.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ EXIT_CAP_REFUSED = 3
 
 # a plotdata-fig2 lambda grid is built whole before its first row
 _LAMBDA_GRID_CAP = 10 ** 5
+
+# stream words a simulate or coupon run may draw: about 80 s at the
+# sampler's 9.5 ns a word on a 2-core Xeon
+_WORD_BUDGET = 1 << 33
 
 # counts stay exact far beyond this, but probability columns need n**m;
 # beyond ~200k bits the exact column is skipped rather than stalled on
@@ -187,7 +192,16 @@ def cmd_plotdata_fig2(args) -> int:
     return EXIT_OK
 
 
+def _check_words(words: int, what: str) -> None:
+    # counted from the arguments, before the first draw
+    if words > _WORD_BUDGET:
+        raise exact.BudgetError(
+            f"{what} draw {words} stream words, over the budget {_WORD_BUDGET}")
+
+
 def cmd_simulate(args) -> int:
+    _check_words(args.trials * args.m,
+                 f"{args.trials} trials of {args.m} drivers")
     from . import simulate
     emp = simulate.sample_empirical(args.n, args.m, args.trials, args.seed)
     exact_probs = None
@@ -213,6 +227,11 @@ def cmd_coupon(args) -> int:
         raise ValueError("need at least one run")
     from . import simulate
     from .rng import sub_seed
+    simulate._check_coupon_lot(args.n)
+    # a run draws about 3n words: the lot fills after about 1.6n cars on
+    # average, and words are drawn a window at a time
+    _check_words(args.trials * 3 * args.n,
+                 f"{args.trials} runs on {args.n} spaces")
     rows = []
     for i in range(args.trials):
         cars = simulate.cars_until_full(args.n, sub_seed(args.seed, i))

@@ -42,7 +42,12 @@ spaces 1..j fill only from choices <= j; and no car can pass an empty
 space j, so every car that chose <= j parked in the j - 1 spaces below
 it.  `cars_until_full` therefore tallies windows of the same stream
 words the scalar generator would draw, one per car, and finds the least
-c by binary search instead of parking car by car.
+c by binary search instead of parking car by car.  It keeps the margins
+#{choices <= j} - j only over the prefix of spaces that may still be
+short: a margin never falls as cars arrive, so a space whose margin has
+reached 0 stays covered, and each window or bisection round that leaves
+the lot open cuts the prefix after its last short space.  A round then
+costs its draws plus the prefix, not n.
 """
 
 from __future__ import annotations
@@ -58,8 +63,8 @@ from .rng import _Residues, sub_seed
 
 # below 2**63, so the int64 counts of an enumeration stay exact
 ENUMERATION_CAP = 10 ** 8
-# cars_until_full holds about 36 bytes per space (10**7 spaces: 367 MB
-# peak, 4.5 s CPU on a 2-core Xeon), so a larger lot is refused rather
+# cars_until_full holds about 22 bytes per space (10**7 spaces: 216 MB
+# peak, 1.9 s CPU on a 2-core Xeon), so a larger lot is refused rather
 # than left to exhaust memory
 COUPON_SPACE_CAP = 10 ** 7
 SAMPLE_BLOCK_TRIALS = 4096
@@ -320,6 +325,32 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
                                  counts=tuple(int(c) for c in counts))
 
 
+def _check_coupon_lot(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one space")
+    if n > COUPON_SPACE_CAP:
+        raise BudgetError(
+            f"{n} spaces exceeds the coupon lot cap {COUPON_SPACE_CAP}")
+
+
+def _short_margins(margin: np.ndarray, part: np.ndarray) -> np.ndarray | None:
+    """The margins after the draws in `part`, cut after their last negative entry.
+
+    margin[j] = #{choices <= j} - (j + 1) over the 0-based spaces 0..s-1
+    that may still be short; draws of s or more add to none of them.
+    Returns None when no margin is negative, that is when the lot is full.
+    The result is a view of one fresh array of s entries.
+    """
+    s = len(margin)
+    upto = np.bincount(part[part < s], minlength=s)
+    np.cumsum(upto, out=upto)
+    upto += margin
+    if upto.min() >= 0:
+        return None
+    # the last negative entry, found from the end without an index array
+    return upto[:s - int(np.argmax(upto[::-1] < 0))]
+
+
 def cars_until_full(n: int, seed: int) -> int:
     """Send single random cars into one evolving lot until it is full.
 
@@ -334,42 +365,43 @@ def cars_until_full(n: int, seed: int) -> int:
     when, for every j, at least j of the first c choices are <= j
     (Konheim & Weiss, 1966): cars only move right, so spaces 1..j fill
     only from choices <= j, and no car passes an empty space.  The
-    choices are drawn in windows, their tallies carried from one window
-    to the next, and the least such c is found by binary search in the
-    window that fills the lot.
+    choices are drawn in windows of about n / 2 words, and the least such
+    c is found by binary search in the window that fills the lot.
+
+    The search keeps one margin per space, #{choices <= j} - j, and only
+    over the prefix 1..s of spaces that may still be short.  A margin
+    never falls as cars arrive, so a space whose margin has reached 0
+    stays covered: after each window or bisection round that leaves the
+    lot open, s moves down to the last space still short.  A step costs
+    O(its draws + s), not O(n), and finds the same car.
 
     Collector's reading of the same process: draw from n ranked items
     until the collection completes, where a duplicate may be traded for
     the best still-missing item of lower rank (here: the next free space
     of larger index); a car that walks is a wasted draw.
     """
-    if n < 1:
-        raise ValueError("need at least one space")
-    if n > COUPON_SPACE_CAP:
-        raise BudgetError(
-            f"{n} spaces exceeds the coupon lot cap {COUPON_SPACE_CAP}")
-    need = np.arange(1, n + 1)
-
-    def fills(tallies):
-        return (np.cumsum(tallies) >= need).all()
-
-    # a lot is rarely still open after 3n cars; the cap bounds the buffers
-    window = min(3 * n, 16 * CHUNK_WORDS)
+    _check_coupon_lot(n)
+    # Before n cars no lot is full, so each window up to there costs O(n)
+    # words and O(n) margins; n / 2 words balance that against the words
+    # mixed past the car that fills the lot.  A shorter window pays more
+    # per numpy call than per word, unless 3n words, which fill most
+    # lots, are fewer.  The top bounds the stream buffers at 24 MB.
+    window = min(3 * n, max(CHUNK_WORDS, min(n // 2, 16 * CHUNK_WORDS)))
     residues = _Residues(n, window)
-    tally = np.zeros(n, dtype=np.int64)     # choices before this window, by space
+    margin = -np.arange(1, n + 1)           # no choices yet
     cars = word = 0
     while True:
         draws, word = residues.draws(seed, word, window)
-        upto = tally + np.bincount(draws, minlength=n)
-        if fills(upto):
+        after = _short_margins(margin, draws)
+        if after is None:
             break
-        tally, cars = upto, cars + window
+        margin, cars = after, cars + window
     lo, hi = 0, window                      # draws[:hi] fill the lot, draws[:lo] do not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        upto = tally + np.bincount(draws[lo:mid], minlength=n)
-        if fills(upto):
+        after = _short_margins(margin, draws[lo:mid])
+        if after is None:
             hi = mid
         else:
-            lo, tally = mid, upto
+            lo, margin = mid, after
     return cars + hi

@@ -205,15 +205,35 @@ class TestSimulate:
         _, rows = csv_rows(out)
         assert sum(int(r["count"].strip('"')) for r in rows) == 5000
 
+    def test_word_budget_edge(self, capsys, monkeypatch):
+        # trials * m words: 10 trials of 4 drivers run at a budget of 40
+        argv = ("simulate", "--n", "3", "--m", "4", "--trials", "10")
+        monkeypatch.setattr(cli, "_WORD_BUDGET", 40)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "_WORD_BUDGET", 39)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "refused: 10 trials of 4 drivers draw 40 stream words, over the budget 39" in err
+
 
 class TestCoupon:
     def test_lot_beyond_cap_is_refused(self, capsys):
-        # about 36 bytes a space: 10**10 spaces would need some 360 GB
+        # about 22 bytes a space: 10**10 spaces would need some 220 GB
         for n in (10 ** 10, simulate.COUPON_SPACE_CAP + 1):
             t0 = time.perf_counter()
             code, out, err = run_cli(capsys, "coupon", "--n", str(n))
             assert time.perf_counter() - t0 < 1.0
             assert code == 3 and out == "" and "refused" in err
+
+    def test_word_budget_edge(self, capsys, monkeypatch):
+        # trials * 3n words: 2 runs on 5 spaces run at a budget of 30
+        argv = ("coupon", "--n", "5", "--trials", "2")
+        monkeypatch.setattr(cli, "_WORD_BUDGET", 30)
+        assert run_cli(capsys, *argv)[0] == 0
+        monkeypatch.setattr(cli, "_WORD_BUDGET", 29)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "refused: 2 runs on 5 spaces draw 30 stream words, over the budget 29" in err
 
 
 class TestVerify:

@@ -356,11 +356,20 @@ def test_sample_rows_are_int16_up_to_two_to_the_15(n, monkeypatch):
     _assert_scores_accepted_stream(n, monkeypatch)
 
 
-@pytest.mark.parametrize("m", [(1 << 15) + 1, 40000])
+def test_sample_rows_are_int16_at_two_to_the_15_drivers(monkeypatch):
+    # m = 2**15 is the last driver count whose offsets 0..m-1 fit int16
+    n, m = 50, 1 << 15
+    got, rows = _assert_scores_accepted_stream(n, monkeypatch, m=m, trials=3)
+    want = collections.Counter(simulate.defect_by_suffix_counts(n, r) for r in rows)
+    assert got.counts == tuple(want[k] for k in range(m + 1))
+
+
+@pytest.mark.parametrize("m", [(1 << 15) + 1, 40000, (1 << 16) + 1])
 def test_sample_rows_are_int32_past_two_to_the_15_drivers(m, monkeypatch):
     # From m = 2**15 + 1 the offsets 0..m-1 leave int16, though n = 50 fits
     # it; at m = 40000, int16 offsets would wrap to c - j up to 25586 and
-    # give every row too large a defect.
+    # give every row too large a defect.  A row of 2**16 + 1 drivers is
+    # longer than CHUNK_WORDS, so each chunk holds one row.
     n = 50
     got, rows = _assert_scores_accepted_stream(n, monkeypatch, m=m, trials=3)
     want = collections.Counter(simulate.defect_by_suffix_counts(n, r) for r in rows)
@@ -392,6 +401,25 @@ def test_cars_until_full_trivial_and_deterministic():
     assert simulate.cars_until_full(10, 42) == simulate.cars_until_full(10, 42) == 10
     with pytest.raises(ValueError):
         simulate.cars_until_full(0, 1)
+
+
+def test_short_margins_cut_after_the_last_short_space():
+    # margin[j] = #{choices <= j} - (j + 1); draws of s = 9 or more add nothing
+    margin = np.array([-3, -1, -1, -1, -1, -1, 0, -1, 0])
+    none = np.array([], dtype=np.int64)
+    assert simulate._short_margins(margin, none).tolist() == margin[:8].tolist()
+    after = simulate._short_margins(margin, np.array([8, 2, 9, 12]))
+    assert after.tolist() == [-3, -1]
+    assert simulate._short_margins(margin, np.array([0, 0, 0, 7])) is None
+
+
+def test_cars_until_full_runs_a_lot_at_the_cap(monkeypatch):
+    # the cap refuses only lots larger than itself
+    monkeypatch.setattr(simulate, "COUPON_SPACE_CAP", 64)
+    case = next(c for c in COUPON_GOLDEN if c["n"] == 64)
+    assert simulate.cars_until_full(64, sub_seed(case["seed"], 0)) == case["cars"][0]
+    with pytest.raises(simulate.BudgetError):
+        simulate.cars_until_full(65, 1)
 
 
 @pytest.mark.parametrize("case", COUPON_GOLDEN, ids=lambda c: "n{n}-s{seed}".format(**c))
