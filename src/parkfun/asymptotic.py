@@ -157,6 +157,11 @@ def density_integral_check(x: float, y: float) -> float:
         s = math.sin(theta)
         alpha = s * s
         if alpha <= 0.0 or alpha >= 1.0:
+            # the integrand's limits: 0, save at alpha = 1 when x = 0, where
+            # the exponent tends to 0 and sin(2 theta) cancels the density's
+            # 1/sqrt(1 - alpha), leaving 2(x - y)/sqrt(2 pi)
+            if alpha >= 1.0 and x == 0.0:
+                return 2.0 * (x - y) / math.sqrt(2.0 * math.pi)
             return 0.0
         return _density(x, y, alpha) * math.sin(2.0 * theta)
 

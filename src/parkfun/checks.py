@@ -12,9 +12,9 @@ constants in its body, and it takes no argument.  The one exception is
 check_park_implementations(instances), which the quick suite runs on
 2000 instances and the full suite on 10**4.  No test calls a check with
 arguments, so each invariant runs on one grid, through one path.  Its
-instances are the first `instances` lots of _park_instances, which reads
-seed 0xC0FFEE's stream through rng._BlockReader: the same lots as scalar
-SplitMix64 draws, at block speed.
+instances are the first `instances` lots of _park_instances, which draws
+them all from seed 0xC0FFEE's stream on the one modulus lcm(1..40) and
+reduces each draw by the lot's own modulus in numpy.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -28,8 +28,10 @@ import itertools
 import math
 from typing import Callable
 
+import numpy as np
+
 from . import asymptotic, exact, simulate
-from .rng import SplitMix64, _BlockReader, sub_seed
+from .rng import SplitMix64, _Residues, sub_seed
 
 
 # ---------------------------------------------------------------------------
@@ -192,22 +194,31 @@ def check_exhaustive_oracle_full():
 def _park_instances(instances: int):
     """The lots (n, choices) that check_park_implementations compares on.
 
-    Each draws n on 1..40, then m on 1..60, then m choices on 1..n, from
-    the one stream of seed 0xC0FFEE: the same instances as successive
-    `SplitMix64(0xC0FFEE).uniform_int` calls, read through the block
-    reader.
+    Every draw is a u uniform on 0..L-1 from seed 0xC0FFEE's stream, with
+    L = lcm(1..40) < 2**63: the draws of successive
+    `SplitMix64(0xC0FFEE).uniform_int(L)` calls, less one, read through
+    one `_Residues` reader.  Draw 2i gives lot i its n = u mod 40 + 1 and
+    draw 2i + 1 its m = u mod 60 + 1; the draws after the first
+    2 * instances give the choices in lot order, u mod n + 1 for the
+    lot's n.  Each reduction is exactly uniform: L is a multiple of 40,
+    of 60 and of every n <= 40, and when d divides L each residue mod d
+    holds L/d of the L equally likely values of u.
     """
-    stream = _BlockReader(0xC0FFEE)
-    for _ in range(instances):
-        (n,) = stream.uniform_ints(40, 1)
-        (m,) = stream.uniform_ints(60, 1)
-        yield n, stream.uniform_ints(n, m)
+    modulus = math.lcm(*range(1, 41))
+    draws, word = _Residues(modulus, 2 * instances).draws(0xC0FFEE, 0, 2 * instances)
+    ns, ms = draws[0::2] % 40 + 1, draws[1::2] % 60 + 1
+    total = int(ms.sum())
+    choices = _Residues(modulus, total).draws(0xC0FFEE, word, total)[0]
+    choices %= np.repeat(ns, ms)
+    choices += 1
+    ends = np.cumsum(ms).tolist()
+    for n, start, end in zip(ns.tolist(), [0] + ends, ends):
+        yield n, choices[start:end].tolist()
 
 
 def check_park_implementations(instances: int = 2000):
     # park's pointer jumping, the slot-by-slot naive park and the
-    # suffix-count defect rule must agree on each lot of _park_instances,
-    # which the block reader draws
+    # suffix-count defect rule must agree on each lot of _park_instances
     for n, choices in _park_instances(instances):
         fast = simulate.park(n, choices)
         naive = simulate.park_naive(n, choices)

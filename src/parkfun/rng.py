@@ -18,10 +18,11 @@ tried.  Any implementation of this recipe, in any language, reproduces
 the exact same draw sequence for a given seed.
 
 `SplitMix64` is the scalar form of that recipe, one word and one draw
-per call in pure Python; it stays the reference that the vector forms are
-tested against.  Those mix a window of words at once with numpy:
-`_Residues` for many draws of one fixed n (the sampler's path), and
-`_BlockReader` for few draws at a time with n free per call (the
+per call in pure Python; it stays the reference that the one vector form
+is tested against.  That form, `_Residues`, mixes a window of words at
+once with numpy and draws on one fixed n per reader: the sampler's,
+`coupon`'s and `uniform_block`'s path.  A caller that needs several
+moduli draws on a common multiple of them and reduces each draw (the
 `park-implementations` check's instances).
 
 Worker streams are derived from a master seed with
@@ -89,24 +90,6 @@ def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gammas(size: int) -> np.ndarray:
-    """(1, 2, .., size) * GAMMA mod 2**64: the steps of a window of `size` words."""
-    steps = np.arange(1, size + 1, dtype=np.uint64)
-    steps *= np.uint64(GAMMA)
-    return steps
-
-
-def _window(seed: int, word: int, steps: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
-    """Stream words word, word + 1, .. into z, one per slot.
-
-    `steps` is a prefix of `_gammas` and `t` scratch, both of z's size:
-    output(seed, word + i) = mix64(seed + (word + 1 + i) * GAMMA) is mixed
-    in place from the sum of steps[i] and seed + word * GAMMA.
-    """
-    np.add(steps, np.uint64((seed + word * GAMMA) & MASK64), out=z)
-    _mix(z, t)
-
-
 class _Residues:
     """Uniform draws on 0..n-1 from a seed's stream, into buffers of `size`.
 
@@ -125,7 +108,9 @@ class _Residues:
         # limit == 2**64 exactly when n is a power of two: nothing is rejectable.
         self._limit = np.uint64(limit) if limit <= MASK64 else None
         self._n = np.uint64(n)
-        self._steps = _gammas(size)
+        # steps[i] = (i + 1) * GAMMA mod 2**64
+        self._steps = np.arange(1, size + 1, dtype=np.uint64)
+        self._steps *= np.uint64(GAMMA)
         self._z = np.empty_like(self._steps)
         self._t = np.empty_like(self._steps)
 
@@ -133,7 +118,10 @@ class _Residues:
         done = 0
         while True:
             z = self._z[done:count]
-            _window(seed, word, self._steps[:len(z)], z, self._t[:len(z)])
+            # word + i of the stream is mix64(seed + (word + 1 + i) * GAMMA):
+            # steps[i] plus seed + word * GAMMA, mixed in place
+            np.add(self._steps[:len(z)], np.uint64((seed + word * GAMMA) & MASK64), out=z)
+            _mix(z, self._t[:len(z)])
             word += len(z)
             # one reduction tests the window; max raises on an empty one
             if self._limit is None or not len(z) or z.max() < self._limit:
@@ -150,45 +138,6 @@ class _Residues:
         q *= self._n
         z -= q
         return z.view(np.int64), word
-
-
-# Words the block reader mixes per numpy pass: large enough that the
-# pass costs little per word, small enough to stay in cache.
-_BLOCK_WORDS = 1 << 14
-
-
-class _BlockReader:
-    """Successive `SplitMix64(seed).uniform_int(n)` draws, with n free per call.
-
-    `uniform_ints(n, count)` returns what `count` further scalar calls
-    would, draw for draw.  The raw words are mixed `_BLOCK_WORDS` at a
-    time with the vector `_mix` and kept as a list of Python ints, so a
-    call that takes a few draws costs a slice and a list comprehension,
-    not one numpy call or one `mix64` per word.  The rejection rule is
-    applied word by word, since the limit changes with n.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = seed
-        self._steps = _gammas(_BLOCK_WORDS)
-        self._word = 0           # stream index of the next word to mix
-        self._words: list[int] = []
-        self._read = 0           # words of self._words already consumed
-
-    def uniform_ints(self, n: int, count: int) -> list[int]:
-        limit = ((1 << 64) // n) * n  # == 2**64 - (2**64 mod n)
-        out: list[int] = []
-        while len(out) < count:
-            if self._read == len(self._words):
-                z = np.empty_like(self._steps)
-                _window(self._seed, self._word, self._steps, z, np.empty_like(z))
-                self._words = z.tolist()
-                self._word += _BLOCK_WORDS
-                self._read = 0
-            words = self._words[self._read:self._read + count - len(out)]
-            self._read += len(words)
-            out += [u % n + 1 for u in words if u < limit]
-        return out
 
 
 def uniform_block(seed: int, n: int, count: int) -> np.ndarray:

@@ -3,6 +3,7 @@ import time
 import pytest
 
 from parkfun import checks
+from parkfun.rng import SplitMix64
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +24,19 @@ def full_check():
         return results[name]
 
     return run
+
+
+class _CountedWords(SplitMix64):
+    """The scalar generator, counting the words it has read."""
+
+    words = 0
+
+    def next_u64(self):
+        self.words += 1
+        return super().next_u64()
+
+
+@pytest.fixture
+def counted_words():
+    """The scalar generator class whose instances count the words they read."""
+    return _CountedWords

@@ -115,7 +115,7 @@ class TestDensity:
         for i in range(1, 50):
             assert asymptotic._density(1.0, 0.0, i / 50) >= 0.0
 
-    @pytest.mark.parametrize("x,y", [(1.0, 0.0), (2.0, 1.0), (0.3, -0.5)])
+    @pytest.mark.parametrize("x,y", [(1.0, 0.0), (2.0, 1.0), (0.3, -0.5), (0.0, -1.0)])
     def test_integral_matches_closed_form(self, x, y):
         got = asymptotic.density_integral_check(x, y)
         assert abs(got - math.exp(-2 * x * (x - y))) <= 1e-6

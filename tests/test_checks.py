@@ -7,10 +7,11 @@ and deleted.  Each check runs once per session, through the
 `full_check` fixture the acceptance criteria read too.
 """
 
+import math
+
 import pytest
 
 from parkfun import checks
-from parkfun.rng import SplitMix64
 
 
 @pytest.mark.parametrize("name", [name for name, _ in checks.FULL_CHECKS])
@@ -19,13 +20,21 @@ def test_check_passes(full_check, name):
     assert passed, detail
 
 
-def test_park_instances_are_the_scalar_draws():
-    # the block reader must hand park-implementations the very lots that
-    # successive scalar calls draw: n, then m, then m choices
-    gen = SplitMix64(0xC0FFEE)
-    want = []
-    for _ in range(2000):
-        n = gen.uniform_int(40)
-        m = gen.uniform_int(60)
-        want.append((n, [gen.uniform_int(n) for _ in range(m)]))
+def test_park_instances_are_the_scalar_draws(counted_words):
+    # park-implementations' lots are successive scalar draws u on 0..L-1,
+    # L = lcm(1..40): 2 * 2000 of them give (n, m) = (u mod 40 + 1,
+    # u mod 60 + 1) lot by lot, then the choices follow, u mod n + 1
+    modulus = math.lcm(*range(1, 41))
+    assert modulus < 1 << 63
+    assert all(modulus % d == 0 for d in [*range(1, 41), 60])
+    gen = counted_words(0xC0FFEE)
+
+    def draw(d):
+        return (gen.uniform_int(modulus) - 1) % d + 1
+
+    sizes = [(draw(40), draw(60)) for _ in range(2000)]
+    want = [(n, [draw(n) for _ in range(m)]) for n, m in sizes]
     assert list(checks._park_instances(2000)) == want
+    # about 10 of the 66k words are rejected, so the replay covers a skip
+    draws = 2 * 2000 + sum(m for _, m in sizes)
+    assert gen.words > draws

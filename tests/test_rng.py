@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from parkfun.rng import (_BLOCK_WORDS, SplitMix64, _BlockReader, _Residues, mix64,
-                         sub_seed, uniform_block)
+from parkfun.rng import SplitMix64, _Residues, mix64, sub_seed, uniform_block
 
 # SplitMix64 outputs for seed 1234567, as published for the reference
 # implementation (e.g. the rand crate's splitmix64 test vector).
@@ -68,23 +67,13 @@ def test_residue_windows_match_stream():
         assert word == start + count
 
 
-class _CountedWords(SplitMix64):
-    """The scalar generator, counting the words it has read."""
-
-    words = 0
-
-    def next_u64(self):
-        self.words += 1
-        return super().next_u64()
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 59, (1 << 31) - 1, 1 << 31, (1 << 31) + 1,
                                3 << 61, (1 << 62) + 1, (1 << 63) - 1, 1 << 63])
-def test_residue_windows_match_scalar_draws(n):
+def test_residue_windows_match_scalar_draws(counted_words, n):
     # two chained windows from a nonzero word, with an empty window between;
     # about a quarter of all words are rejected at 3 * 2**61 and 2**62 + 1:
     # a window drops them and reads on, the next starts where it stopped
-    gen = _CountedWords(5)
+    gen = counted_words(5)
     for _ in range(9):
         gen.next_u64()
     residues = _Residues(n, 40)
@@ -95,35 +84,6 @@ def test_residue_windows_match_scalar_draws(n):
         assert draws.dtype == np.int64
         assert draws.tolist() == want
         assert word == gen.words
-
-
-@pytest.mark.parametrize("seed, n", [
-    (0x31628AF67B2131AB, 3),   # word 0 is 2**64 - 1, the one word n = 3 rejects
-    (17, 40),
-    (17, 64),                  # a power of two: no word is rejected
-    (23, (1 << 62) + 1),       # about a quarter of the words are rejected
-    (23, (1 << 63) + 1),       # about half
-])
-def test_block_reader_matches_scalar_draws(seed, n):
-    gen = SplitMix64(seed)
-    want = [gen.uniform_int(n) for _ in range(500)]
-    assert _BlockReader(seed).uniform_ints(n, 500) == want
-
-
-def test_block_reader_changes_modulus_across_blocks():
-    # one stream read with a new n on each call: a call that ends 5 words
-    # short of the block, an empty call, one that straddles the boundary,
-    # one longer than a whole block, and a last empty one
-    gen = _CountedWords(99)
-    reader = _BlockReader(99)
-    calls = [(40, _BLOCK_WORDS - 5), (7, 0), (1000, 10),
-             ((1 << 63) + 1, _BLOCK_WORDS + 7), (3, 0)]
-    words = []
-    for n, count in calls:
-        want = [gen.uniform_int(n) for _ in range(count)]
-        assert reader.uniform_ints(n, count) == want
-        words.append(gen.words)
-    assert words[:3] == [_BLOCK_WORDS - 5, _BLOCK_WORDS - 5, _BLOCK_WORDS + 5]
 
 
 def test_sub_seed_properties():
