@@ -13,8 +13,9 @@ check_park_implementations(instances), which the quick suite runs on
 2000 instances and the full suite on 10**4.  No test calls a check with
 arguments, so each invariant runs on one grid, through one path.  Its
 instances are the first `instances` lots of _park_instances, which draws
-them all from seed 0xC0FFEE's stream on the one modulus lcm(1..40) and
-reduces each draw by the lot's own modulus in numpy.
+them all from seed 0xC0FFEE's stream on the one modulus lcm(1..40),
+window by window through one bounded buffer, and reduces each draw by
+the lot's own modulus in numpy.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -191,6 +192,10 @@ def check_exhaustive_oracle_full():
     return _enumeration_agrees(exhaustive_pairs())
 
 
+# lots per window of _park_instances: 60 * 256 draws, 369 KB of buffers
+_WINDOW_LOTS = 256
+
+
 def _park_instances(instances: int):
     """The lots (n, choices) that check_park_implementations compares on.
 
@@ -203,17 +208,29 @@ def _park_instances(instances: int):
     lot's n.  Each reduction is exactly uniform: L is a multiple of 40,
     of 60 and of every n <= 40, and when d divides L each residue mod d
     holds L/d of the L equally likely values of u.
+
+    The reader's buffers hold the choices of _WINDOW_LOTS lots, 60 draws
+    each at most, and the stream is read window by window from the word
+    the last window returned.  So memory does not grow with `instances`
+    beyond the (n, m) pairs, and the lots do not depend on the window.
     """
-    modulus = math.lcm(*range(1, 41))
-    draws, word = _Residues(modulus, 2 * instances).draws(0xC0FFEE, 0, 2 * instances)
-    ns, ms = draws[0::2] % 40 + 1, draws[1::2] % 60 + 1
-    total = int(ms.sum())
-    choices = _Residues(modulus, total).draws(0xC0FFEE, word, total)[0]
-    choices %= np.repeat(ns, ms)
-    choices += 1
-    ends = np.cumsum(ms).tolist()
-    for n, start, end in zip(ns.tolist(), [0] + ends, ends):
-        yield n, choices[start:end].tolist()
+    modulus, seed = math.lcm(*range(1, 41)), 0xC0FFEE
+    lots = _WINDOW_LOTS
+    size = 60 * lots
+    residues, word = _Residues(modulus, size), 0
+    pairs = np.empty(2 * instances, dtype=np.int64)
+    for start in range(0, len(pairs), size):
+        window = pairs[start:start + size]
+        window[:], word = residues.draws(seed, word, len(window))
+    ns, ms = pairs[0::2] % 40 + 1, pairs[1::2] % 60 + 1
+    for first in range(0, instances, lots):
+        n_w, m_w = ns[first:first + lots], ms[first:first + lots]
+        choices, word = residues.draws(seed, word, int(m_w.sum()))
+        choices %= np.repeat(n_w, m_w)
+        choices += 1
+        ends = np.cumsum(m_w).tolist()
+        for n, start, end in zip(n_w.tolist(), [0] + ends, ends):
+            yield n, choices[start:end].tolist()
 
 
 def check_park_implementations(instances: int = 2000):

@@ -158,6 +158,8 @@ def _lambda_grid(lo: float, hi: float, step: float) -> list[Fraction]:
     flo, fhi, fstep = (Fraction(str(x)) for x in (lo, hi, step))
     if fstep <= 0 or flo <= 0:
         raise ValueError("lambda grid must be positive with positive step")
+    if flo > fhi:
+        raise ValueError("lambda grid needs lambda-min <= lambda-max")
     points = (fhi - flo) // fstep + 1
     if points > _LAMBDA_GRID_CAP:
         raise exact.BudgetError(

@@ -102,10 +102,18 @@ class DefectTable:
     The binomials do not depend on r, so each (s, k) cell is one int
     holding a(r, s, k) for every r at once: bits w*r .. w*r + w - 1 are
     lane r, for r = 0..r_max.  A stored a(r, s, k) is cp(r + s, s + k, k),
-    at most (r + s)**(s + k) <= (r_max + s_max)**(s_max + k_max) in every
-    column, so w = (s_max + k_max) * bitlen(r_max + s_max) + 1 bits hold
-    it.  The k = 0 term, a prefix sum over r, is one multiply by the word
-    with a 1 in every lane, masked to r_max + 1 lanes.
+    at most (r + s)**(s + k) <= B = (r_max + s_max)**(s_max + k_max) in
+    every column, so w = bitlen(B) bits hold it; w is at least 1, since a
+    (0, 0, k) table has B = 0**k = 0 but a(0, 0, 0) = 1.
+
+    The k = 0 cell is a(r, s, 0) = c_0 + .. + c_r, the prefix sum over the
+    lanes c_r of the binomial sum's word (v[1] below), taken by the
+    log-step scan of Hillis & Steele (CACM 29(12), 1986): x += x << shift
+    for shift = w, 2w, 4w, .. below w * (r_max + 1), then masked to
+    r_max + 1 lanes.  After the pass at shift = 2**t * w, lane r holds
+    c_max(0, r - 2**(t+1) + 1) + .. + c_r, a part of a(r, s, 0), which
+    the lane holds; so no lane at or below r_max carries, and what spills
+    above lane r_max carries only upward, into bits the mask drops.
 
     The binomial sum is [x^(k+1)] (1 + x)**(s+k) P(x), with P(x) the
     previous column p_0 + p_1 x + ..., so Pascal's rule, C(N, j) =
@@ -126,9 +134,11 @@ class DefectTable:
             raise ValueError("table bounds must be nonnegative")
         self.r_max = r_max
         self.s_max = s_max
-        self._w = w = (s_max + k_max) * (r_max + s_max).bit_length() + 1
+        # a (0, 0, k) table's bound is 0**k = 0, but its a(0, 0, 0) is 1
+        self._w = w = max(1, ((r_max + s_max) ** (s_max + k_max)).bit_length())
         self._lane = (1 << w) - 1
-        lanes = (1 << w * (r_max + 1)) - 1
+        width = w * (r_max + 1)
+        lanes = (1 << width) - 1
         ones = lanes // self._lane          # a 1 in every lane
         # column 0: a(r, 0, 0) = 1 for every r, and no walker without a driver
         cols = [[ones] + [0] * (k_max + s_max)]
@@ -139,7 +149,12 @@ class DefectTable:
             for _ in range(s):
                 for j in range(top + 1, 0, -1):
                     v[j] += v[j - 1]
-            col = [v[1] * ones & lanes]
+            # lane r of the k = 0 cell sums lanes 0..r of v[1]: a log-step scan
+            x, shift = v[1], w
+            while shift < width:
+                x += x << shift
+                shift <<= 1
+            col = [x & lanes]
             for k in range(1, top + 1):
                 for j in range(top + 1, k, -1):
                     v[j] += v[j - 1]

@@ -135,12 +135,16 @@ def park_naive(n: int, choices: Sequence[int]) -> ParkOutcome:
     pointer jumping; the scan runs in `bytearray.find`, and the flag at
     n + 1 is a sentinel that is never taken, so finding it means the
     driver walks.
+
+    The chosen space's own flag is read first: when it is free, `find`
+    would return it, and reading one byte skips the call's argument
+    parsing, which costs more than the scan of a free space.
     """
     _check_choices(n, choices)
     free = bytearray(b"\x01") * (n + 2)
     assignment = []
     for c in choices:
-        spot = free.find(1, c)
+        spot = c if free[c] else free.find(1, c)
         if spot > n:
             assignment.append(None)
         else:

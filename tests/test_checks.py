@@ -38,3 +38,11 @@ def test_park_instances_are_the_scalar_draws(counted_words):
     # about 10 of the 66k words are rejected, so the replay covers a skip
     draws = 2 * 2000 + sum(m for _, m in sizes)
     assert gen.words > draws
+
+
+def test_park_instances_do_not_depend_on_the_window(monkeypatch):
+    # one lot per window reads the (n, m) pairs in windows of 60 draws as
+    # well, and must give the same lots as the default window
+    want = list(checks._park_instances(300))
+    monkeypatch.setattr(checks, "_WINDOW_LOTS", 1)
+    assert list(checks._park_instances(300)) == want

@@ -164,6 +164,13 @@ class TestPlotdataFig2:
         want = exact.ratio_as_float(count, 20 ** 40)
         assert float(row["exact_full_probability"]) == pytest.approx(want, rel=1e-14)
 
+    def test_equal_lambda_bounds_give_one_point(self, capsys):
+        code, out, _ = run_cli(capsys, "plotdata-fig2", "--lambda-min", "1.5",
+                               "--lambda-max", "1.5")
+        _, rows = csv_rows(out)
+        assert code == 0
+        assert [(r["lambda"], r["n"]) for r in rows] == [("1.5", "10"), ("1.5", "20")]
+
     def test_lambda_grid_cap_edge(self, capsys, monkeypatch):
         # the point count comes from the exact Fractions, before any is built
         monkeypatch.setattr(cli, "_LAMBDA_GRID_CAP", 3)
