@@ -86,7 +86,7 @@ def _limiting_tail(x: float, y: float) -> float:
 
 def rayleigh_cdf(x: float) -> float:
     """1 - e**(-2x^2): the limit law of defect/sqrt(n) when m = n."""
-    if x < 0.0:
+    if not x >= 0.0:                            # nan fails it too
         raise ValueError("x must be nonnegative")
     return 1.0 - math.exp(-2.0 * x * x)
 
@@ -150,7 +150,7 @@ def density_integral_check(x: float, y: float) -> float:
     then integrates by adaptive Simpson to absolute tolerance 1e-9; the
     result should equal the closed form exp(-2x(x-y)) to well within 1e-6.
     """
-    if x <= y:
+    if not x > y:                               # nan fails it too
         raise ValueError("integral check requires x > y")
 
     def integrand(theta: float) -> float:
@@ -174,10 +174,12 @@ def density_integral_check(x: float, y: float) -> float:
 
 def full_lot_limit(lam: float) -> float:
     """Limit of P(all n spaces fill) with m = lambda*n drivers."""
-    if lam <= 0.0:
+    if not lam > 0.0:                           # nan fails it too
         raise ValueError("lambda must be positive")
     if lam <= 1.0:
         return 0.0
+    if lam == math.inf:                         # lam * e**-lam would be nan
+        return 1.0
     v = min(lam * math.exp(-lam), TREE_ARG_MAX)
     return 1.0 - tree_function(v) / lam
 
@@ -205,23 +207,20 @@ def _phi(ell: int, k: int) -> float:
     """Limit of n*(tail probability - 1) for fixed defect k, m = n + ell.
 
     -(k - ell) * sum_{i=0}^{k-1} (-1)**i/i! * (k-i)**i * e**(k-i) for
-    k > ell, and 0 otherwise.  The alternating terms are summed with
-    Kahan compensation.  k >= 0: defect_ratio_limit, its one public
-    caller, refuses a negative k.
+    k > ell, and 0 otherwise.  The terms reach about e**(5k/4), 0.54k
+    digits, while the sum is about 2k + 2/3, so a double sum has lost
+    every digit by k = 40; the sum is taken in decimal at k + 30 digits,
+    with each e**(k-i) correctly rounded, and rounded to a double once.
+    k >= 0: defect_ratio_limit, the one public caller, refuses k < 0.
     """
     if k <= ell:
         return 0.0
-    total = 0.0
-    comp = 0.0
-    sign = 1.0
-    for i in range(k):
-        term = sign * (k - i) ** i * math.exp(k - i) / math.factorial(i)
-        yy = term - comp
-        t = total + yy
-        comp = (t - total) - yy
-        total = t
-        sign = -sign
-    return -(k - ell) * total
+    import decimal          # only here, so that import parkfun does not load it
+    with decimal.localcontext() as ctx:
+        ctx.prec = k + 30
+        total = sum((-1) ** i * (k - i) ** i * decimal.Decimal(k - i).exp()
+                    / math.factorial(i) for i in range(k))
+        return float(-(k - ell) * total)
 
 
 def defect_ratio_limit(ell: int, k: int) -> float:

@@ -46,11 +46,11 @@ tail_sum call gives the widest nontrivial tail, and the others come from
 one chain ladder (_abel_tails) that walks R along each j instead, where
 the next term is its neighbour times a small integer, divided exactly by
 another.  Tails above a split take Abel's form and the others the
-alternating one; the split, from a closed-form cost model, is m/2 at
-n = m and falls toward 0.29 m as n / m grows, so the whole law costs
-about (m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, half of
-Abel's form alone at n = m.  tail_sum stays the point query, and
-tail_sum_alternating the independent check.
+alternating one.  The split is floor(2m/5), or lo = max(0, m - n + 1)
+when that is larger, so the whole law costs about
+(m - split)**2/2 + (split**2 - lo**2)/2 cheap steps, 0.52 of Abel's form
+alone at n = m; _split gives the measurements behind 2/5.  tail_sum stays
+the point query, and tail_sum_alternating the independent check.
 
 plotdata-fig2 needs the full-lot count cp(n, m, m - n) for a whole
 column of increasing m at one n.  _full_lot_counts takes Abel's form at
@@ -362,22 +362,19 @@ def _chain(sums: list[int], n: int, m: int, j: int, i: int, top: int, r: int) ->
 def _split(n: int, m: int) -> int:
     """Where _abel_tails hands the tails from the alternating form to Abel's.
 
-    In units of log(n) bits, a term R(i, j) is about (i - 1) + (m - i)rho
-    long, with rho = log(m) / log(n) standing in for log|j| / log(n).  A
-    step costs about its operand's length, so Abel's anti-diagonal at k,
-    with d = m - k terms, costs about (1 - rho)d**2/2 + rho*m*d, and the
-    alternating one, with k terms, m*k - (1 - rho)k**2/2.  The two are
-    equal at k = x*m with x = (1 + rho) / (2 + sqrt(2 + 2 rho**2)): 1/2 at
-    n = m, 1 - 1/sqrt(2) ~ 0.29 as n / m grows without bound, and below
-    1/sqrt(2) for every n, m.  The split is that k, but not below
-    lo = max(0, m - n + 1); with one tail or none left past lo there is
-    nothing to split.
+    floor(2m/5), not below lo = max(0, m - n + 1); every split in [lo, m]
+    gives the same tails, so the rule sets only the cost.  The step count,
+    (m - split)**2/2 + (split**2 - lo**2)/2, is least at m/2, but when
+    n >> m an alternating step costs more: its chains start afresh and its
+    bases n + |j| are wider.  Whole-law CPU in seconds, min of 7 runs on a
+    2-core Xeon, over 12 dense lots (n = 200..600, |m - n| <= 30) and 12
+    wide ones (n = 10**6..10**9, m = 300..500):
+
+        split   2m/5   9m/20   m/2     a float cost model per lot
+        dense   0.72   0.71    0.72    0.72
+        wide    1.17   1.19    1.25    1.16
     """
-    lo = max(0, m - n + 1)
-    if lo >= m - 1:
-        return lo
-    rho = math.log(m, n)
-    return max(lo, round(m * (1 + rho) / (2 + math.sqrt(2 + 2 * rho * rho))))
+    return max(m - n + 1, 2 * m // 5)       # 2m/5 >= 0 stands in for lo's 0
 
 
 def _abel_tails(n: int, m: int, split: int) -> list[int]:

@@ -75,6 +75,10 @@ class TestTailLimits:
         with pytest.raises(ValueError):
             asymptotic.rayleigh_cdf(-1.0)
 
+    def test_rayleigh_rejects_nan(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            asymptotic.rayleigh_cdf(math.nan)
+
 
 class TestPmfApprox:
     def test_direct_value(self):
@@ -124,6 +128,11 @@ class TestDensity:
         with pytest.raises(ValueError):
             asymptotic.density_integral_check(0.5, 0.5)
 
+    def test_integral_rejects_nan(self):
+        for x, y in ((math.nan, 0.0), (0.0, math.nan)):
+            with pytest.raises(ValueError, match="x > y"):
+                asymptotic.density_integral_check(x, y)
+
 
 class TestFullLot:
     def test_limit_branches(self):
@@ -131,6 +140,11 @@ class TestFullLot:
         assert asymptotic.full_lot_limit(1.0) == 0.0
         with pytest.raises(ValueError):
             asymptotic.full_lot_limit(0.0)
+
+    def test_limit_at_infinity_and_nan(self):
+        assert asymptotic.full_lot_limit(math.inf) == 1.0
+        with pytest.raises(ValueError, match="positive"):
+            asymptotic.full_lot_limit(math.nan)
 
     def test_limit_against_bisection_oracle(self):
         t = bisect_te_negt(2 * math.exp(-2))
@@ -178,6 +192,19 @@ class TestPhiAndRatios:
         # held here to 1e-15, tighter than that check's 1e-12
         assert asymptotic.defect_ratio_limit(0, 0) == pytest.approx(1.0, abs=1e-15)
         assert asymptotic.defect_ratio_limit(-1, 1) > 0.0
+
+    def test_phi_closed_form(self):
+        # Sigma(k) = 2k + 2/3 + eps(k), with |eps / Sigma| below 1e-16 from k = 16
+        for ell in (0, -10, -50):
+            for k in (16, 30, 100, 200):
+                assert asymptotic._phi(ell, k) == pytest.approx(
+                    -(k - ell) * (2 * k + 2 / 3), rel=1e-14, abs=0), (ell, k)
+
+    def test_ratio_limit_closed_form(self):
+        # (phi(ell, k) - phi(ell, k + 1)) / -phi(ell, 1), with Sigma(1) = e
+        for ell, k in ((0, 30), (0, 200), (-10, 30), (-50, 200)):
+            assert asymptotic.defect_ratio_limit(ell, k) == pytest.approx(
+                (4 * k - 2 * ell + 8 / 3) / ((1 - ell) * E), rel=1e-13, abs=0), (ell, k)
 
     def test_ratio_limit_rejects_positive_ell(self):
         with pytest.raises(ValueError):

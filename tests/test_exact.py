@@ -197,12 +197,11 @@ def test_distribution_ladder_matches_alternating_form(n, m):
 
 
 def test_split_rule():
-    assert exact._split(1000, 1000) == 500                   # rho = 1: m / 2
-    assert exact._split(330, 300) == 149
-    for n, m in [(10 ** 9, 500), (10 ** 6, 300), (10 ** 12, 60)]:
-        assert 0.29 * m < exact._split(n, m) <= 0.4 * m, (n, m)
-    assert exact._split(50, 200) == 151                      # lo past the crossing
-    assert exact._split(200, 390) == 201
+    assert exact._split(1000, 1000) == 400                   # 2m/5
+    assert exact._split(10 ** 9, 500) == 200
+    assert exact._split(300, 330) == 132                     # lo = 31 below 2m/5
+    assert exact._split(200, 390) == 191                     # lo past 2m/5
+    assert exact._split(50, 200) == 151
     for n, m in [(0, 0), (1, 0), (1, 7), (5, 0), (5, 1)]:
         assert exact._split(n, m) == max(0, m - n + 1)
 

@@ -47,10 +47,12 @@ def test_import_leaves_numpy_out():
 
 
 def test_import_leaves_dataclasses_out():
-    # dataclasses would pull in inspect, ast, dis and tokenize
-    proc = run_python("-c", "import sys, parkfun; print('dataclasses' in sys.modules)")
+    # dataclasses would pull in inspect, ast, dis and tokenize; decimal
+    # serves only asymptotic._phi, which imports it when called
+    proc = run_python("-c", "import sys, parkfun; "
+                      "print(sorted({'dataclasses', 'decimal'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_first_simulation_lookup_binds_every_export():
