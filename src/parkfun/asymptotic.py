@@ -52,7 +52,9 @@ def tree_function(v: float) -> float:
     for i in range(2, 21):
         term *= v * (1.0 + 1.0 / (i - 1)) ** (i - 2)
         t += term
-    t = min(max(t, 0.0), 1.0)
+    # No clamp is needed: the seed's terms are positive and sum to less
+    # than T(v) < 1 (it lies in [v, 0.825]), and every later t lies
+    # strictly inside (lo, hi), a part of [0, 1], so gp = e**-t (1 - t) > 0
     lo, hi = 0.0, 1.0
     for _ in range(300):
         g = t * math.exp(-t) - v
@@ -66,18 +68,18 @@ def tree_function(v: float) -> float:
             # any point of the bracket has residual <= |g'| * width <= 1e-15
             break
         gp = math.exp(-t) * (1.0 - t)
-        t_new = t - g / gp if gp > 0.0 else 0.5 * (lo + hi)
+        t_new = t - g / gp
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         if t_new == t:
             break
         t = t_new
-    return min(max(t, 0.0), 1.0)
+    return t
 
 
 def _limiting_tail(x: float, y: float) -> float:
     """Limit of P(defect >= x*sqrt(n)) with m = n + y*sqrt(n) drivers."""
-    if x < 0.0:
+    if not x >= 0.0:                            # nan fails it too
         raise ValueError("x must be nonnegative")
     if x > y:
         return math.exp(-2.0 * x * (x - y))
@@ -190,7 +192,7 @@ def _full_lot_series(lam: float, terms: int) -> float:
     sum_{i=0}^{terms-1} lambda**i/i! * (i+1)**(i-1) * e**(-lambda*(1+i)),
     evaluated term-wise in log space.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:                           # nan fails it too
         raise ValueError("lambda must be positive")
     if terms < 1:
         raise ValueError("need at least one term")
@@ -203,6 +205,15 @@ def _full_lot_series(lam: float, terms: int) -> float:
     return total
 
 
+def _phi_decimal(ell: int, k: int):
+    """_phi(ell, k) as a Decimal, summed in the caller's decimal context."""
+    import decimal          # only here, so that import parkfun does not load it
+    if k <= ell:
+        return decimal.Decimal(0)
+    return -(k - ell) * sum((-1) ** i * (k - i) ** i * decimal.Decimal(k - i).exp()
+                            / math.factorial(i) for i in range(k))
+
+
 def _phi(ell: int, k: int) -> float:
     """Limit of n*(tail probability - 1) for fixed defect k, m = n + ell.
 
@@ -211,16 +222,12 @@ def _phi(ell: int, k: int) -> float:
     digits, while the sum is about 2k + 2/3, so a double sum has lost
     every digit by k = 40; the sum is taken in decimal at k + 30 digits,
     with each e**(k-i) correctly rounded, and rounded to a double once.
-    k >= 0: defect_ratio_limit, the one public caller, refuses k < 0.
+    k >= 0: phi-consistency, its one caller in the package, takes k <= 3.
     """
-    if k <= ell:
-        return 0.0
-    import decimal          # only here, so that import parkfun does not load it
+    import decimal
     with decimal.localcontext() as ctx:
         ctx.prec = k + 30
-        total = sum((-1) ** i * (k - i) ** i * decimal.Decimal(k - i).exp()
-                    / math.factorial(i) for i in range(k))
-        return float(-(k - ell) * total)
+        return float(_phi_decimal(ell, k))
 
 
 def defect_ratio_limit(ell: int, k: int) -> float:
@@ -229,5 +236,13 @@ def defect_ratio_limit(ell: int, k: int) -> float:
         raise ValueError("ratio limit undefined for ell > 0 (denominator is 0)")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # _phi(ell, 0) is +-0.0 for ell <= 0, so the denominator drops it
-    return (_phi(ell, k) - _phi(ell, k + 1)) / -_phi(ell, 1)
+    import decimal
+    # the two _phi values, about 2k(k - ell) each, differ by about
+    # 4k - 2 ell, so the difference and the quotient stay in decimal, at
+    # the digits _phi(ell, k + 1) takes, and the ratio is rounded once;
+    # _phi(ell, 0) is 0 for ell <= 0, so the denominator drops it
+    with decimal.localcontext() as ctx:
+        ctx.prec = k + 31
+        ratio = ((_phi_decimal(ell, k) - _phi_decimal(ell, k + 1))
+                 / -_phi_decimal(ell, 1))
+    return float(ratio)

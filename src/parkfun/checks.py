@@ -12,10 +12,10 @@ constants in its body, and it takes no argument.  The one exception is
 check_park_implementations(instances), which the quick suite runs on
 2000 instances and the full suite on 10**4.  No test calls a check with
 arguments, so each invariant runs on one grid, through one path.  Its
-instances are the first `instances` lots of _park_instances, which draws
-them all from seed 0xC0FFEE's stream on the one modulus lcm(1..40),
-window by window through one bounded buffer, and reduces each draw by
-the lot's own modulus in numpy.
+instances are the first `instances` lots of _park_instances: lot i has
+a fixed shape (n, m), swept over n <= 40, m <= 60, and its choices come
+from seed 0xC0FFEE's stream on the one modulus lcm(1..40), reduced by
+the lot's own n in numpy.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -193,44 +193,27 @@ def check_exhaustive_oracle_full():
     return _enumeration_agrees(exhaustive_pairs())
 
 
-# lots per window of _park_instances: 60 * 256 draws, 369 KB of buffers
-_WINDOW_LOTS = 256
-
-
 def _park_instances(instances: int):
     """The lots (n, choices) that check_park_implementations compares on.
 
-    Every draw is a u uniform on 0..L-1 from seed 0xC0FFEE's stream, with
-    L = lcm(1..40) < 2**63: the draws of successive
-    `SplitMix64(0xC0FFEE).uniform_int(L)` calls, less one, read through
-    one `_Residues` reader.  Draw 2i gives lot i its n = u mod 40 + 1 and
-    draw 2i + 1 its m = u mod 60 + 1; the draws after the first
-    2 * instances give the choices in lot order, u mod n + 1 for the
-    lot's n.  Each reduction is exactly uniform: L is a multiple of 40,
-    of 60 and of every n <= 40, and when d divides L each residue mod d
-    holds L/d of the L equally likely values of u.
-
-    The reader's buffers hold the choices of _WINDOW_LOTS lots, 60 draws
-    each at most, and the stream is read window by window from the word
-    the last window returned.  So memory does not grow with `instances`
-    beyond the (n, m) pairs, and the lots do not depend on the window.
+    Lot i has the fixed shape n = i mod 40 + 1, m = 7 * (i // 40) mod 60
+    + 1; 7 is prime to 60, so lots 0..2399 hold each of the 2400 shapes
+    once.  Its m choices are the next m draws u of seed 0xC0FFEE's stream
+    on L = lcm(1..40) < 2**63, each u mod n + 1: the draws of successive
+    `SplitMix64(0xC0FFEE).uniform_int(L)` calls, less one, read 256 lots
+    at a time through one `_Residues` reader.  Each reduction is exactly
+    uniform, since every n <= 40 divides L.
     """
     modulus, seed = math.lcm(*range(1, 41)), 0xC0FFEE
-    lots = _WINDOW_LOTS
-    size = 60 * lots
-    residues, word = _Residues(modulus, size), 0
-    pairs = np.empty(2 * instances, dtype=np.int64)
-    for start in range(0, len(pairs), size):
-        window = pairs[start:start + size]
-        window[:], word = residues.draws(seed, word, len(window))
-    ns, ms = pairs[0::2] % 40 + 1, pairs[1::2] % 60 + 1
-    for first in range(0, instances, lots):
-        n_w, m_w = ns[first:first + lots], ms[first:first + lots]
-        choices, word = residues.draws(seed, word, int(m_w.sum()))
-        choices %= np.repeat(n_w, m_w)
+    residues, word = _Residues(modulus, 60 * 256), 0
+    for first in range(0, instances, 256):
+        lots = np.arange(first, min(first + 256, instances))
+        ns, ms = lots % 40 + 1, 7 * (lots // 40) % 60 + 1
+        choices, word = residues.draws(seed, word, int(ms.sum()))
+        choices %= np.repeat(ns, ms)
         choices += 1
-        ends = np.cumsum(m_w).tolist()
-        for n, start, end in zip(n_w.tolist(), [0] + ends, ends):
+        ends = np.cumsum(ms).tolist()
+        for n, start, end in zip(ns.tolist(), [0] + ends, ends):
             yield n, choices[start:end].tolist()
 
 

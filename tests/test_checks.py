@@ -21,28 +21,27 @@ def test_check_passes(full_check, name):
 
 
 def test_park_instances_are_the_scalar_draws(counted_words):
-    # park-implementations' lots are successive scalar draws u on 0..L-1,
-    # L = lcm(1..40): 2 * 2000 of them give (n, m) = (u mod 40 + 1,
-    # u mod 60 + 1) lot by lot, then the choices follow, u mod n + 1
+    # park-implementations' lot i has n = i mod 40 + 1 and m = 7 * (i // 40)
+    # mod 60 + 1; its m choices are the next scalar draws u on 0..L-1,
+    # L = lcm(1..40), each u mod n + 1
     modulus = math.lcm(*range(1, 41))
     assert modulus < 1 << 63
-    assert all(modulus % d == 0 for d in [*range(1, 41), 60])
+    assert all(modulus % d == 0 for d in range(1, 41))
     gen = counted_words(0xC0FFEE)
-
-    def draw(d):
-        return (gen.uniform_int(modulus) - 1) % d + 1
-
-    sizes = [(draw(40), draw(60)) for _ in range(2000)]
-    want = [(n, [draw(n) for _ in range(m)]) for n, m in sizes]
+    want = []
+    for i in range(2000):
+        n, m = i % 40 + 1, 7 * (i // 40) % 60 + 1
+        want.append((n, [(gen.uniform_int(modulus) - 1) % n + 1 for _ in range(m)]))
     assert list(checks._park_instances(2000)) == want
-    # about 10 of the 66k words are rejected, so the replay covers a skip
-    draws = 2 * 2000 + sum(m for _, m in sizes)
-    assert gen.words > draws
+    # a few of the 59k words are rejected, so the replay covers a skip
+    assert gen.words > sum(len(choices) for _, choices in want)
 
 
-def test_park_instances_do_not_depend_on_the_window(monkeypatch):
-    # one lot per window reads the (n, m) pairs in windows of 60 draws as
-    # well, and must give the same lots as the default window
-    want = list(checks._park_instances(300))
-    monkeypatch.setattr(checks, "_WINDOW_LOTS", 1)
-    assert list(checks._park_instances(300)) == want
+def test_park_instances_sweep_every_shape_once():
+    # the lots are prefix-stable, and lots 0..2399 hold each shape
+    # (n, m) with n <= 40, m <= 60 exactly once
+    lots = list(checks._park_instances(2400))
+    assert list(checks._park_instances(300)) == lots[:300]
+    assert list(checks._park_instances(2000)) == lots[:2000]
+    shapes = sorted((n, len(choices)) for n, choices in lots)
+    assert shapes == [(n, m) for n in range(1, 41) for m in range(1, 61)]
