@@ -454,6 +454,44 @@ def check_full_lot_ordering():
     return True, ""
 
 
+def check_limit_precision():
+    # full_lot_limit within 4 ulp of a 50-digit solve for the conjugate
+    # root t = lambda - u of t e**-t = lambda e**-lambda, that is of
+    # f(u) = lambda (1 - e**-u) - u = 0 with u > 0, near lambda = 1 and
+    # on each side of the switch between its two forms.  f is concave and
+    # f(0) = 0, so a Newton step from any u in (0, lambda] lands at or
+    # above the root, and from above it comes down without passing it:
+    # from the double's own u, three steps move u by less than 1e-30 of
+    # itself, and rounding then keeps it creeping down by about 1e-36
+    import decimal
+    lams = [1.0 + 10.0 ** -j for j in range(1, 13)] + [1.4, 1.6, 2.0, 2.8, 5.0, 30.0]
+    worst, at = 0.0, None
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        tiny = decimal.Decimal("1e-30")
+        for lam in lams:
+            got = asymptotic.full_lot_limit(lam)
+            big = decimal.Decimal(lam)
+            u = big
+            if 0.0 < got < 1.0:
+                u = min(big, -(1 - decimal.Decimal(got)).ln() * decimal.Decimal("1.000000001"))
+            for _ in range(200):
+                e = (-u).exp()
+                after = u - (big * (1 - e) - u) / (big * e - 1)
+                if not after < u * (1 - tiny):
+                    break
+                u = after
+            else:
+                return False, f"reference solve did not settle at lambda={lam!r}"
+            ref = 1 - (-u).exp()
+            miss = float(abs(decimal.Decimal(got) - ref)) / math.ulp(float(ref))
+            if miss > worst:
+                worst, at = miss, lam
+    if worst > 4.0:
+        return False, f"full_lot_limit({at!r}) is {worst:.3g} ulp off"
+    return True, f"worst {worst:.2f} ulp at lambda={at!r}"
+
+
 def check_pmf_normalization():
     n = 400
     total = sum(asymptotic.pmf_approx(n, n, k)
@@ -486,6 +524,7 @@ QUICK_CHECKS: list[tuple[str, Callable]] = [
     ("series-vs-tree", check_series_vs_tree),
     ("ratio-limit-values", check_ratio_limit_values),
     ("full-lot-ordering", check_full_lot_ordering),
+    ("limit-precision", check_limit_precision),
     ("pmf-normalization", check_pmf_normalization),
 ]
 

@@ -46,8 +46,8 @@ EXIT_CAP_REFUSED = 3
 _LAMBDA_GRID_CAP = 10 ** 5
 
 # stream words a simulate or coupon run may draw.  On a 2-core Xeon: about
-# 1 min of simulate at 6.3 ns a word (n = m = 1000), 2 min of coupon at
-# n = 10**5 (14 ns a word) and 6 min at n = 10**7 (42 ns a word)
+# 1 min of simulate at 6.3 ns a word (n = m = 1000), 1-1.5 min of coupon
+# at n = 10**5 (6-10 ns a counted word) and 2 min at n = 10**7 (11-14 ns)
 _WORD_BUDGET = 1 << 33
 
 # counts stay exact far beyond this, but probability columns need n**m;
@@ -231,8 +231,9 @@ def cmd_coupon(args) -> int:
     from . import simulate
     from .rng import sub_seed
     simulate._check_coupon_lot(args.n)
-    # a run draws about 3n words: the lot fills after about 1.6n cars on
-    # average, and words are drawn a window at a time
+    # a run is counted as 3n words, an over-count kept until a time
+    # estimate replaces it: the lot fills after about 1.7n cars on
+    # average, and past car n words are drawn in windows of about n / 8
     _check_words(args.trials * 3 * args.n,
                  f"{args.trials} runs on {args.n} spaces")
     rows = []

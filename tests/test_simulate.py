@@ -413,6 +413,42 @@ def test_short_margins_cut_after_the_last_short_space():
     assert simulate._short_margins(margin, np.array([0, 0, 0, 7])) is None
 
 
+def test_deficit_levels_on_a_hand_worked_lot():
+    # n = 8: after the first 8 choices (0-based) space j is short by
+    # h_j = (j + 1) - #{choices <= j}
+    first = [7, 7, 6, 6, 6, 0, 3, 2]
+    deficits = [0, 1, 1, 1, 2, 3, 1, 0]
+    assert deficits == [j + 1 - sum(c <= j for c in first) for j in range(8)]
+    level = np.zeros(9, dtype=np.int32)
+    np.add.at(level[1:], first, 1)
+    simulate._deficit_levels(level)
+    # P(x) = max(0, max_{j < x} h_j): K = 3 levels, reached first at J = 1, 4, 5
+    assert level.tolist() == np.maximum.accumulate([0] + deficits).tolist()
+    assert level.tolist() == [0, 0, 1, 1, 1, 2, 3, 3, 3]
+    # a later choice x serves the levels above P(x)
+    later = np.array([5, 1, 6, 0])
+    assert level[later].tolist() == [2, 0, 3, 0]
+    # level k needs k later cars at or below J_k: three cars leave levels
+    # 2 and 3 short, the fourth fills the lot, as the suffix rule says
+    margin = -np.arange(1, 4)
+    assert simulate._short_margins(margin, level[later[:3]]).tolist() == [0, -1, -1]
+    assert simulate._short_margins(margin, level[later]) is None
+    cars = [c + 1 for c in first + later.tolist()]
+    assert simulate.defect_by_suffix_counts(8, cars[:11]) > 11 - 8
+    assert simulate.defect_by_suffix_counts(8, cars) == 12 - 8
+
+
+def test_lot_full_at_car_n_has_no_levels():
+    # the first n choices park every car: every deficit is at most 0, K = 0
+    first = [0, 0, 1, 2, 5, 3, 4, 7]
+    level = np.zeros(9, dtype=np.int32)
+    np.add.at(level[1:], first, 1)
+    assert not simulate._deficit_levels(level).any()
+    seed = next(s for s in range(100)
+                if simulate.defect_by_suffix_counts(8, uniform_block(s, 8, 8).tolist()) == 0)
+    assert simulate.cars_until_full(8, seed) == 8
+
+
 def test_cars_until_full_runs_a_lot_at_the_cap(monkeypatch):
     # the cap refuses only lots larger than itself
     monkeypatch.setattr(simulate, "COUPON_SPACE_CAP", 64)
@@ -447,10 +483,13 @@ def _cars_replay(n, seed):
 
 def test_cars_until_full_matches_process_replay():
     gen = SplitMix64(77)
-    past_first_window = 0
+    at_n = past_first_window = 0
     for i in range(60):
         n = gen.uniform_int(3000 if i % 2 else 20)
         want = _cars_replay(n, sub_seed(77, i))
         assert simulate.cars_until_full(n, sub_seed(77, i)) == want, (n, i)
-        past_first_window += want > 3 * n
-    assert past_first_window
+        # lots that fill at car n search no window; past car n each window
+        # holds n // 8 + 1 draws, below CHUNK_WORDS here
+        at_n += want == n
+        past_first_window += want > n + n // 8 + 1
+    assert at_n and past_first_window
