@@ -12,11 +12,12 @@ Subcommands:
 
 Counts are emitted as decimal strings, never floats; probability columns
 are derived values printed with 15 significant digits.  CSV output is
-RFC-4180-style (comma separated, header row, counts quoted) preceded by
-one `# config {..}` comment line echoing the resolved configuration;
-JSON output carries the same configuration in a "config" field.  The
-plain-text commands (table, verify) echo their configuration to stderr
-so their stdout stays machine-comparable.
+RFC-4180-style (comma separated, header row) preceded by one
+`# config {..}` comment line echoing the resolved configuration; JSON
+output carries the same configuration in a "config" field.  A CSV cell
+is a bare int, a quoted count, a %.15g float, or NA where JSON has null.
+The plain-text commands (table, verify) echo their configuration to
+stderr so their stdout stays machine-comparable.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or an
 --out path that cannot be written (OSError), 3 refusal (exact.BudgetError)
@@ -55,31 +56,21 @@ _WORD_BUDGET = 1 << 33
 _EXACT_COLUMN_BIT_LIMIT = 200_000
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.15g}"
+def _na_last(template: str):
+    # the line of a row whose last cell, a float, may be None: NA in CSV
+    full, short = (template + ",%.15g\n").__mod__, (template + ",NA\n").__mod__
+    return lambda row: short(row[:-1]) if row[-1] is None else full(row)
 
 
-def _emit(config: dict, columns: list[str], rows: list[dict],
-          fmt: str) -> str:
+def _emit(config: dict, columns: tuple[str, ...], rows: list[tuple],
+          line, fmt: str) -> str:
+    # line formats one row tuple, in column order, as one CSV line
     if fmt == "json":
-        return json.dumps({"config": config, "records": rows},
+        records = [dict(zip(columns, row)) for row in rows]
+        return json.dumps({"config": config, "records": records},
                           sort_keys=True, indent=2) + "\n"
-    lines = ["# config " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(columns))
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            if v is None:
-                cells.append("NA")
-            elif isinstance(v, str):
-                cells.append(f'"{v}"')
-            elif isinstance(v, float):
-                cells.append(_fmt_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return ("# config " + json.dumps(config, sort_keys=True) + "\n"
+            + ",".join(columns) + "\n" + "".join(map(line, rows)))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -126,30 +117,25 @@ def cmd_dist(args) -> int:
         ks = [args.k]
         counts = {args.k: exact.defect_count_explicit(n, m, args.k)}
     total = n ** m
-    rows = [{"n": n, "m": m, "k": k, "count": str(counts[k]),
-             "probability": exact.ratio_as_float(counts[k], total)}
+    rows = [(n, m, k, str(counts[k]), exact.ratio_as_float(counts[k], total))
             for k in ks]
-    _write(_emit(_config(args), ["n", "m", "k", "count", "probability"],
-                 rows, args.format), args.out)
+    _write(_emit(_config(args), ("n", "m", "k", "count", "probability"), rows,
+                 '%d,%d,%d,"%s",%.15g\n'.__mod__, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_plotdata_fig1(args) -> int:
     m_list = args.m if args.m else [90, 100, 110]
+    n = args.n
     rows = []
     for m in m_list:
-        dist = exact.defect_distribution(args.n, m)
-        probs = dist.probabilities()
-        for k in range(m + 1):
-            in_regime = m < args.n + k
-            rows.append({
-                "n": args.n, "m": m, "k": k,
-                "exact_probability": probs[k],
-                "approx": asymptotic.pmf_approx(args.n, m, k) if in_regime else None,
-            })
+        probs = exact.defect_distribution(n, m).probabilities()
+        rows += [(n, m, k, probs[k],
+                  asymptotic.pmf_approx(n, m, k) if m < n + k else None)
+                 for k in range(m + 1)]
     _write(_emit(_config(args, m=m_list),
-                 ["n", "m", "k", "exact_probability", "approx"],
-                 rows, args.format), args.out)
+                 ("n", "m", "k", "exact_probability", "approx"), rows,
+                 _na_last("%d,%d,%d,%.15g"), args.format), args.out)
     return EXIT_OK
 
 
@@ -187,11 +173,10 @@ def cmd_plotdata_fig2(args) -> int:
                 p_full = 0.0
             else:
                 p_full = exact.ratio_as_float(full[n][m], n ** m)
-            rows.append({"n": n, "lambda": lam_f, "m": m,
-                         "exact_full_probability": p_full, "limit": limit})
+            rows.append((n, lam_f, m, p_full, limit))
     _write(_emit(_config(args, n=n_list),
-                 ["n", "lambda", "m", "exact_full_probability", "limit"],
-                 rows, args.format), args.out)
+                 ("n", "lambda", "m", "exact_full_probability", "limit"), rows,
+                 "%d,%.15g,%d,%.15g,%.15g\n".__mod__, args.format), args.out)
     return EXIT_OK
 
 
@@ -210,18 +195,14 @@ def cmd_simulate(args) -> int:
     exact_probs = None
     if args.m * args.n.bit_length() <= _EXACT_COLUMN_BIT_LIMIT:
         exact_probs = exact.defect_distribution(args.n, args.m).probabilities()
-    rows = []
-    for k in range(args.m + 1):
-        rows.append({
-            "n": args.n, "m": args.m, "k": k, "trials": args.trials,
-            "count": str(emp.counts[k]),
-            "frequency": emp.counts[k] / args.trials,
-            "exact_probability": exact_probs[k] if exact_probs else None,
-        })
+    n, m, trials = args.n, args.m, args.trials
+    rows = [(n, m, k, trials, str(c), c / trials,
+             exact_probs[k] if exact_probs else None)
+            for k, c in enumerate(emp.counts)]
     _write(_emit(_config(args),
-                 ["n", "m", "k", "trials", "count", "frequency",
-                  "exact_probability"],
-                 rows, args.format), args.out)
+                 ("n", "m", "k", "trials", "count", "frequency",
+                  "exact_probability"), rows,
+                 _na_last('%d,%d,%d,%d,"%s",%.15g'), args.format), args.out)
     return EXIT_OK
 
 
@@ -236,12 +217,10 @@ def cmd_coupon(args) -> int:
     # average, and past car n words are drawn in windows of about n / 8
     _check_words(args.trials * 3 * args.n,
                  f"{args.trials} runs on {args.n} spaces")
-    rows = []
-    for i in range(args.trials):
-        cars = simulate.cars_until_full(args.n, sub_seed(args.seed, i))
-        rows.append({"n": args.n, "run": i, "cars": cars})
-    _write(_emit(_config(args), ["n", "run", "cars"], rows, args.format),
-           args.out)
+    rows = [(args.n, i, simulate.cars_until_full(args.n, sub_seed(args.seed, i)))
+            for i in range(args.trials)]
+    _write(_emit(_config(args), ("n", "run", "cars"), rows,
+                 "%d,%d,%d\n".__mod__, args.format), args.out)
     return EXIT_OK
 
 

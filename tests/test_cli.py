@@ -49,6 +49,43 @@ def test_stdout_matches_corpus(capsys, entry):
         f"{entry['exit']}), stdout sha256 {digest}, error line {line!r}")
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (("dist", "--n", "5", "--m", "7"), 0),
+    # approx is missing for k <= m - n
+    (("plotdata-fig1", "--n", "20", "--m", "25", "--m", "12"), 6),
+    (("plotdata-fig2", "--n", "12", "--n", "3", "--lambda-max", "2"), 0),
+    (("simulate", "--n", "6", "--m", "8", "--trials", "500", "--seed", "9"), 0),
+    # m * bitlen(n) = 201600 bits: the exact column is skipped on every row
+    (("simulate", "--n", str(2 ** 62), "--m", "3200", "--trials", "1"), 3201),
+    (("coupon", "--n", "10", "--seed", "42", "--trials", "3"), 0),
+])
+def test_csv_and_json_agree_cell_by_cell(capsys, argv, missing):
+    """Every CSV cell is its JSON value under the cell rules of the cli docstring."""
+    _, csv_out, _ = run_cli(capsys, *argv)
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    payload = json.loads(json_out)
+    config, header, *lines = csv_out.splitlines()
+    assert json.loads(config.removeprefix("# config ")) == {**payload["config"], "format": "csv"}
+    header = header.split(",")
+    assert len(lines) == len(payload["records"])
+    nulls = 0
+    for line, rec in zip(lines, payload["records"]):
+        cells = line.split(",")
+        assert len(cells) == len(header) == len(rec) and set(header) == set(rec)
+        for col, cell in zip(header, cells):
+            value = rec[col]
+            if value is None:
+                nulls += 1
+                assert cell == "NA", col
+            elif isinstance(value, str):
+                assert cell == f'"{value}"' and value.isdigit(), col
+            elif isinstance(value, int):
+                assert cell == str(value), col
+            else:
+                assert cell == "%.15g" % value, col
+    assert nulls == missing
+
+
 class TestTable:
     def test_config_echoed_to_stderr(self, capsys):
         _, out, err = run_cli(capsys, "table", "--n", "2")
