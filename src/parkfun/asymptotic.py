@@ -224,27 +224,8 @@ def full_lot_limit(lam: float) -> float:
     if lam < _FULL_LOT_SWITCH:
         # 1 - t/lambda cancels as t -> lambda -> 1; -expm1(-u) does not
         return -math.expm1(-_conjugate_gap(lam))
-    v = min(lam * math.exp(-lam), TREE_ARG_MAX)
-    return 1.0 - tree_function(v) / lam
-
-
-def _full_lot_series(lam: float, terms: int) -> float:
-    """Partial sum of the series form of T(lambda*e**-lambda)/lambda.
-
-    sum_{i=0}^{terms-1} lambda**i/i! * (i+1)**(i-1) * e**(-lambda*(1+i)),
-    evaluated term-wise in log space.
-    """
-    if not lam > 0.0:                           # nan fails it too
-        raise ValueError("lambda must be positive")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    log_lam = math.log(lam)
-    total = 0.0
-    for i in range(terms):
-        log_term = (i * log_lam - math.lgamma(i + 1)
-                    + (i - 1) * math.log(i + 1) - lam * (1 + i))
-        total += math.exp(log_term)
-    return total
+    # lambda >= 1.5, so lambda*e**-lambda <= 0.335 < 1/e: no clamp is needed
+    return 1.0 - tree_function(lam * math.exp(-lam)) / lam
 
 
 def _phi_decimal(ell: int, k: int):

@@ -2,10 +2,10 @@
 
 Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
-series vs root-finding, quadrature vs closed form.  A check returns
-(passed, detail): the miss, or for some checks what a pass measured.
-Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
-`verify` runs one of them, and the tests run each check by name.
+quadrature vs closed form.  A check returns (passed, detail): the miss,
+or for some checks what a pass measured.  Suites are plain lists of
+named checks, QUICK_CHECKS and FULL_CHECKS; `verify` runs one of them,
+and the tests run each check by name.
 
 Every check owns one fixed grid: its bounds, seed and trial count are
 constants in its body, and it takes no argument.  The one exception is
@@ -326,24 +326,6 @@ def check_tree_function_grid():
     return True, ""
 
 
-def check_limiting_tail_shape():
-    ys = (-1.0, 0.0, 0.5, 2.0)
-    for y in ys:
-        prev = None
-        for i in range(0, 41):
-            x = 0.1 * i
-            val = asymptotic._limiting_tail(x, y)
-            if not 0.0 < val <= 1.0:
-                return False, f"tail limit out of (0,1] at ({x},{y})"
-            if x > y and prev is not None and val > prev:
-                return False, f"tail limit not decreasing at ({x},{y})"
-            prev = val
-        boundary = asymptotic._limiting_tail(max(y, 0.0), y)
-        if boundary != 1.0:
-            return False, f"tail limit not continuous at x=y={y}"
-    return True, ""
-
-
 def check_density_integral_grid():
     for x in (0.25, 0.5, 1.0, 2.0):
         for y in (-1.0, 0.0, 0.5):
@@ -353,22 +335,6 @@ def check_density_integral_grid():
             want = asymptotic._limiting_tail(x, y)
             if abs(got - want) > 1e-6:
                 return False, f"alpha-density integral off at ({x},{y}): {got} vs {want}"
-    return True, ""
-
-
-def check_series_vs_tree():
-    # At lambda = 1 the series sits at its convergence-radius boundary and
-    # the error decays only like 1/sqrt(terms), so that point gets its own
-    # qualitative treatment below.
-    for lam in (0.2, 0.5, 2.0, 4.0):
-        ref = asymptotic.tree_function(min(lam * math.exp(-lam),
-                                           asymptotic.TREE_ARG_MAX)) / lam
-        if abs(asymptotic._full_lot_series(lam, 200) - ref) > 1e-10:
-            return False, f"series does not reach the tree function at lambda={lam}"
-    err_200 = abs(asymptotic._full_lot_series(1.0, 200) - 1.0)
-    err_3200 = abs(asymptotic._full_lot_series(1.0, 3200) - 1.0)
-    if not err_3200 < err_200 < 0.1:
-        return False, "series at lambda=1 not converging toward T(1/e)"
     return True, ""
 
 
@@ -519,9 +485,7 @@ QUICK_CHECKS: list[tuple[str, Callable]] = [
     ("permutation-invariance", check_permutation_invariance),
     ("sampling-determinism", check_sampling_determinism),
     ("tree-function-grid", check_tree_function_grid),
-    ("limiting-tail-shape", check_limiting_tail_shape),
     ("density-integral-grid", check_density_integral_grid),
-    ("series-vs-tree", check_series_vs_tree),
     ("ratio-limit-values", check_ratio_limit_values),
     ("full-lot-ordering", check_full_lot_ordering),
     ("limit-precision", check_limit_precision),

@@ -100,7 +100,7 @@ def test_criterion_09_density_integral(full_check):
 
 
 def test_criterion_10_tree_function_fidelity(full_check):
-    results = [full_check(name)[:2] for name in ("tree-function-grid", "series-vs-tree")]
+    results = [full_check(name)[:2] for name in ("tree-function-grid", "limit-precision")]
     ok = all(passed for passed, _ in results)
     assert report(10, "tree function fidelity", ok), results
 

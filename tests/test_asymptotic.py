@@ -26,20 +26,6 @@ class TestTreeFunction:
         assert asymptotic.tree_function(0.0) == 0.0
         assert asymptotic.tree_function(math.exp(-1.0)) == 1.0
 
-    def test_recovers_lambda_below_one(self):
-        for lam in (0.1, 0.5, 0.9, 1.0):
-            t = asymptotic.tree_function(lam * math.exp(-lam))
-            assert abs(t - lam) <= 1e-10
-
-    def test_residual_on_grid(self):
-        prev = -1.0
-        for i in range(1001):
-            v = math.exp(-1.0) * i / 1000
-            t = asymptotic.tree_function(v)
-            assert abs(t * math.exp(-t) - v) <= 1e-12
-            assert t > prev
-            prev = t
-
     def test_agrees_with_bisection(self):
         for v in (0.05, 0.2, 0.3, 0.36):
             assert abs(asymptotic.tree_function(v) - bisect_te_negt(v)) < 1e-12
@@ -147,32 +133,11 @@ class TestFullLot:
         with pytest.raises(ValueError, match="positive"):
             asymptotic.full_lot_limit(math.nan)
 
-    def test_limit_against_bisection_oracle(self):
-        t = bisect_te_negt(2 * math.exp(-2))
-        assert asymptotic.full_lot_limit(2.0) == pytest.approx(1 - t / 2, abs=1e-12)
-
     def test_large_lambda_upper_bound(self):
         # T(lambda e^-lambda)/lambda <= 1/(e^(lambda-1) - lambda)
         val = asymptotic.full_lot_limit(20.0)
         assert val >= 1 - 1 / (math.exp(19) - 20)
         assert val < 1.0
-
-    def test_series_single_term(self):
-        for lam in (0.3, 1.0, 2.5):
-            assert asymptotic._full_lot_series(lam, 1) == pytest.approx(
-                math.exp(-lam), abs=1e-15)
-
-    def test_series_converges_to_tree_function(self):
-        # at lambda = 0.5 the 60-term sum is still ~7e-8 away: convergence
-        # is geometric with ratio lambda*e^(1-lambda), not instantaneous
-        assert abs(asymptotic._full_lot_series(0.5, 60) - 1.0) <= 1e-6
-
-    def test_series_rejects_bad_arguments(self):
-        for lam in (-1.0, math.nan):
-            with pytest.raises(ValueError, match="positive"):
-                asymptotic._full_lot_series(lam, 10)
-        with pytest.raises(ValueError):
-            asymptotic._full_lot_series(1.0, 0)
 
 
 class TestPhiAndRatios:

@@ -129,13 +129,6 @@ def test_tail_sum_alternating_closed_forms():
     assert all(exact.tail_sum(n, n, n) == 0 for n in range(2, 21))
 
 
-def test_tail_forms_agree_on_grid():
-    for n in range(1, 10):
-        for m in range(10):
-            for k in range(m + 1):
-                assert exact.tail_sum(n, m, k) == exact.tail_sum_alternating(n, m, k)
-
-
 def test_defect_count_explicit_examples():
     assert exact.defect_count_explicit(6, 6, 2) == 8402
     assert exact.defect_count_explicit(5, 3, 7) == 0  # k > m
@@ -153,9 +146,6 @@ def test_parking_function_count():
 
 
 def test_abel_identity_examples():
-    assert exact.abel_identity_check(2, 3, 2)  # 9 + 8 + 8 == 25
-    assert exact.abel_identity_check(1, 0, 0)
-    assert exact.abel_identity_check(1, 0, 2)  # (b - i) goes negative
     for args in [(-1, 2, 2), (2, -1, 2), (2, 2, -1)]:
         with pytest.raises(ValueError, match="a, b, m must be nonnegative"):
             exact.abel_identity_check(*args)

@@ -48,7 +48,8 @@ def test_import_leaves_numpy_out():
 
 def test_import_leaves_dataclasses_out():
     # dataclasses would pull in inspect, ast, dis and tokenize; decimal
-    # serves only asymptotic._phi, which imports it when called
+    # serves only asymptotic._phi, asymptotic.defect_ratio_limit and the
+    # check limit-precision, each of which imports it when called
     proc = run_python("-c", "import sys, parkfun; "
                       "print(sorted({'dataclasses', 'decimal'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
