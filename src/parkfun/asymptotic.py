@@ -11,8 +11,8 @@ fixed-defect ratio limits, and the density whose integral over the
 occupancy fraction reproduces the tail limit (a quadrature cross-check
 of the closed form).
 
-Everything here is IEEE double arithmetic; exact counts enter only
-through exact.ratio_as_float.
+Everything here is IEEE double arithmetic but the decimal phi(ell, k);
+exact counts enter only through exact.ratio_as_float.
 """
 
 from __future__ import annotations
@@ -99,9 +99,7 @@ def _limiting_tail(x: float, y: float) -> float:
 
 def rayleigh_cdf(x: float) -> float:
     """1 - e**(-2x^2): the limit law of defect/sqrt(n) when m = n."""
-    if not x >= 0.0:                            # nan fails it too
-        raise ValueError("x must be nonnegative")
-    return 1.0 - math.exp(-2.0 * x * x)
+    return 1.0 - _limiting_tail(x, 0.0)
 
 
 def pmf_approx(n: int, m: int, k: int) -> float:
@@ -229,28 +227,17 @@ def full_lot_limit(lam: float) -> float:
 
 
 def _phi_decimal(ell: int, k: int):
-    """_phi(ell, k) as a Decimal, summed in the caller's decimal context."""
+    """phi(ell, k) = lim n*(tail probability - 1) at defect k, m = n + ell.
+
+    -(k - ell) * sum_{i<k} (-1)**i/i! * (k-i)**i * e**(k-i) for k > ell,
+    else 0, as a Decimal in the caller's context.  The sum is about 2k + 2/3
+    and its terms reach 0.54k digits, so k + 30 digits keep 0.46k + 30.
+    """
     import decimal          # only here, so that import parkfun does not load it
     if k <= ell:
         return decimal.Decimal(0)
     return -(k - ell) * sum((-1) ** i * (k - i) ** i * decimal.Decimal(k - i).exp()
                             / math.factorial(i) for i in range(k))
-
-
-def _phi(ell: int, k: int) -> float:
-    """Limit of n*(tail probability - 1) for fixed defect k, m = n + ell.
-
-    -(k - ell) * sum_{i=0}^{k-1} (-1)**i/i! * (k-i)**i * e**(k-i) for
-    k > ell, and 0 otherwise.  The terms reach about e**(5k/4), 0.54k
-    digits, while the sum is about 2k + 2/3, so a double sum has lost
-    every digit by k = 40; the sum is taken in decimal at k + 30 digits,
-    with each e**(k-i) correctly rounded, and rounded to a double once.
-    k >= 0: phi-consistency, its one caller in the package, takes k <= 3.
-    """
-    import decimal
-    with decimal.localcontext() as ctx:
-        ctx.prec = k + 30
-        return float(_phi_decimal(ell, k))
 
 
 def defect_ratio_limit(ell: int, k: int) -> float:
@@ -260,10 +247,9 @@ def defect_ratio_limit(ell: int, k: int) -> float:
     if k < 0:
         raise ValueError("k must be nonnegative")
     import decimal
-    # the two _phi values, about 2k(k - ell) each, differ by about
-    # 4k - 2 ell, so the difference and the quotient stay in decimal, at
-    # the digits _phi(ell, k + 1) takes, and the ratio is rounded once;
-    # _phi(ell, 0) is 0 for ell <= 0, so the denominator drops it
+    # phi(ell, k) and phi(ell, k + 1), about 2k(k - ell) each, differ by
+    # about 4k - 2 ell: subtract and divide at k + 31 digits, round once;
+    # phi(ell, 0) is 0 for ell <= 0, so the denominator drops it
     with decimal.localcontext() as ctx:
         ctx.prec = k + 31
         ratio = ((_phi_decimal(ell, k) - _phi_decimal(ell, k + 1))

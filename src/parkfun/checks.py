@@ -2,10 +2,11 @@
 
 Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
-quadrature vs closed form.  A check returns (passed, detail): the miss,
-or for some checks what a pass measured.  Suites are plain lists of
-named checks, QUICK_CHECKS and FULL_CHECKS; `verify` runs one of them,
-and the tests run each check by name.
+quadrature vs closed form, exact counts vs limit laws (ratio-limits-exact
+holds both fixed-defect limits on one set of tails).  A check returns
+(passed, detail): the miss, or for some checks what a pass measured.
+Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
+`verify` runs one of them, and the tests run each check by name.
 
 Every check owns one fixed grid: its bounds, seed and trial count are
 constants in its body, and it takes no argument.  The one exception is
@@ -352,22 +353,28 @@ def check_ratio_limit_values():
 
 
 def check_ratio_limits_exact():
+    # both fixed-defect limits, from one set of exact tails S(n, n, k), k <= 3
+    import decimal
     ns = (250, 1000, 4000)
+    tails = {n: [exact.tail_sum_alternating(n, n, k) for k in range(4)] for n in ns}
     reached = []
     for k in (1, 2):
         target = asymptotic.defect_ratio_limit(0, k)
-        errs = []
-        for n in ns:
-            num = (exact.tail_sum_alternating(n, n, k)
-                   - exact.tail_sum_alternating(n, n, k + 1))
-            den = (exact.tail_sum_alternating(n, n, 0)
-                   - exact.tail_sum_alternating(n, n, 1))
-            errs.append(abs(exact.ratio_as_float(num, den) - target))
+        errs = [abs(exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target)
+                for s in tails.values()]
         if not all(a > b for a, b in zip(errs, errs[1:])):
             return False, f"ratio error not strictly decreasing for k={k}: {errs}"
         if errs[-1] > 5e-2:
             return False, f"ratio error {errs[-1]} above 5e-2 at n={ns[-1]}"
         reached.append(f"k={k} err@{ns[-1]}={errs[-1]:.2e}")
+    for k in (1, 2, 3):
+        with decimal.localcontext() as ctx:
+            ctx.prec = k + 30
+            target = float(asymptotic._phi_decimal(0, k))
+        errs = [abs(-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target)
+                for n in ns[1:]]
+        if not errs[-1] < errs[0]:
+            return False, f"phi(0,{k}) error grew from n={ns[1]} to n={ns[-1]}: {errs}"
     return True, "; ".join(reached)
 
 
@@ -383,20 +390,6 @@ def check_tail_trend():
     if errs[-1] > 0.05:
         return False, f"tail error {errs[-1]} above 0.05 at n={ns[-1]}"
     return True, f"errors {['%.4f' % e for e in errs]}"
-
-
-def check_phi_consistency():
-    ns = (1000, 4000)
-    for k in (1, 2, 3):
-        target = asymptotic._phi(0, k)
-        errs = []
-        for n in ns:
-            deficit = n ** n - exact.tail_sum_alternating(n, n, k)
-            val = -n * exact.ratio_as_float(deficit, n ** n)
-            errs.append(abs(val - target))
-        if not errs[-1] < errs[0]:
-            return False, f"phi(0,{k}) error grew from n={ns[0]} to n={ns[-1]}: {errs}"
-    return True, ""
 
 
 def check_full_lot_ordering():
@@ -500,5 +493,4 @@ FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
     ("coupon-experiment", check_coupon_experiment),
     ("ratio-limits-exact", check_ratio_limits_exact),
     ("tail-trend", check_tail_trend),
-    ("phi-consistency", check_phi_consistency),
 ]

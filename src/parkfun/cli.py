@@ -46,9 +46,9 @@ EXIT_CAP_REFUSED = 3
 # a plotdata-fig2 lambda grid is built whole before its first row
 _LAMBDA_GRID_CAP = 10 ** 5
 
-# stream words a simulate or coupon run may draw.  On a 2-core Xeon: about
-# 1 min of simulate at 6.3 ns a word (n = m = 1000), 1-1.5 min of coupon
-# at n = 10**5 (6-10 ns a counted word) and 2 min at n = 10**7 (11-14 ns)
+# stream words a simulate or coupon run may draw.  On a 2-core Xeon, CPU
+# min of 3: 1.2 min of simulate at 8.4 ns a word (n = m = 1000), 1.5 min
+# of coupon at n = 10**5 (10.1 ns a counted word), 1.9 min at 10**7 (13.0)
 _WORD_BUDGET = 1 << 33
 
 # counts stay exact far beyond this, but probability columns need n**m;

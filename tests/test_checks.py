@@ -11,13 +11,28 @@ import math
 
 import pytest
 
-from parkfun import checks
+from parkfun import asymptotic, checks
 
 
 @pytest.mark.parametrize("name", [name for name, _ in checks.FULL_CHECKS])
 def test_check_passes(full_check, name):
     passed, detail, _ = full_check(name)
     assert passed, detail
+
+
+def test_ratio_limits_exact_fails_on_either_wrong_target(monkeypatch):
+    # the phi half, with the ratio limits held at their true values
+    ratio = {k: asymptotic.defect_ratio_limit(0, k) for k in (1, 2)}
+    phi = asymptotic._phi_decimal
+    with monkeypatch.context() as patch:
+        patch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k])
+        patch.setattr(asymptotic, "_phi_decimal", lambda ell, k: phi(ell, k) + 1)
+        passed, detail = checks.check_ratio_limits_exact()
+    assert not passed and detail.startswith("phi(0,1) error grew"), detail
+    # the ratio half
+    monkeypatch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k] + 0.1)
+    passed, detail = checks.check_ratio_limits_exact()
+    assert not passed and detail.startswith("ratio error"), detail
 
 
 def test_park_instances_are_the_scalar_draws(counted_words):

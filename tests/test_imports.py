@@ -48,8 +48,9 @@ def test_import_leaves_numpy_out():
 
 def test_import_leaves_dataclasses_out():
     # dataclasses would pull in inspect, ast, dis and tokenize; decimal
-    # serves only asymptotic._phi, asymptotic.defect_ratio_limit and the
-    # check limit-precision, each of which imports it when called
+    # serves only asymptotic._phi_decimal, through defect_ratio_limit and
+    # the check ratio-limits-exact, and the check limit-precision, each
+    # of which imports it when called
     proc = run_python("-c", "import sys, parkfun; "
                       "print(sorted({'dataclasses', 'decimal'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr

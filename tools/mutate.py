@@ -30,8 +30,10 @@ occurrence of that text among the function's sites with that operator,
 joined by "|".  tools/equivalent_mutants.txt lists the survivors that
 are accepted, one per line: module, key and a one-line reason, split by
 tabs.  Every survivor is printed as file:line and key, the listed ones
-as "accepted" apart from the unlisted ones, then one summary line.  The
-exit status is 1 only when an unlisted mutant survived.
+as "accepted" apart from the unlisted ones; then each of the module's
+listed keys that no survivor carried, as "stale" (its mutant is killed
+now, or its code is gone); then one summary line.  The exit status is 1
+only when an unlisted mutant survived.
 """
 
 from __future__ import annotations
@@ -226,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     unlisted = [m for m in survivors if m["key"] not in listed]
     for m in survivors:
         print(f"{'accepted' if m['key'] in listed else 'survived'}  src/{rel}:{m['line']}  {m['key']}")
+    for key in sorted(listed - {m["key"] for m in survivors}):
+        print(f"stale  {key}")
     timeouts = sum(status == "timeout" for status, _ in results)
     errors = sum(status == "error" for status, _ in results)
     print(f"{a.module}: {len(found) - len(survivors)} of {len(found)} mutants killed "
