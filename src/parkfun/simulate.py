@@ -46,11 +46,9 @@ search instead of parking car by car.  No lot fills before car n, so
 the first n choices are only tallied; what the n spaces still lack after
 them reduces to K = O(sqrt(n)) deficit levels, level k asking for k
 more cars at or below one space, and one gather maps each later draw to
-the levels it serves.  The search keeps margins only over the levels
-that may still be short: a margin never falls as cars arrive, so each
-window or bisection round that leaves the lot open cuts the levels
-after its last short one.  A round past car n costs its draws plus at
-most K levels, not n spaces.
+the levels it serves.  Each window or bisection round tallies its draws
+by level in one bincount, whose running sum is what every level gains,
+so a round past car n costs its draws plus K levels, not n spaces.
 """
 
 from __future__ import annotations
@@ -340,25 +338,16 @@ def _check_coupon_lot(n: int) -> None:
             f"{n} spaces exceeds the coupon lot cap {COUPON_SPACE_CAP}")
 
 
-def _short_margins(margin: np.ndarray, part: np.ndarray) -> np.ndarray | None:
-    """The margins after the draws in `part`, cut after their last negative entry.
+def _lacking(need: np.ndarray, part: np.ndarray) -> np.ndarray | None:
+    """What each deficit level lacks after the draws in `part`; None once none does.
 
-    margin[i] = #{draws <= i} - (i + 1) over the indices 0..s-1 that may
-    still be short, and draws of s or more add to none of them.  The
-    indices are spaces (draw x counts for every space at or above it) or,
-    in `cars_until_full`, deficit levels (a draw mapped to level p counts
-    for every level above p).  Returns None when no margin is negative,
-    that is when the lot is full.  The result is a view of one fresh
-    array of s entries.
+    need[v] counts the later cars that level v + 1 lacks.  A draw at
+    level p serves levels p + 1..K, so the running sum of one bincount
+    is what each level gains; level K's bin serves none and is dropped.
     """
-    s = len(margin)
-    upto = np.bincount(part[part < s], minlength=s)
-    np.cumsum(upto, out=upto)
-    upto += margin
-    if upto.min() >= 0:
-        return None
-    # the last negative entry, found from the end without an index array
-    return upto[:s - int(np.argmax(upto[::-1] < 0))]
+    k = len(need)
+    after = need - np.cumsum(np.bincount(part, minlength=k)[:k])
+    return None if after.max() <= 0 else after
 
 
 def _deficit_levels(level: np.ndarray) -> np.ndarray:
@@ -378,9 +367,8 @@ def _deficit_levels(level: np.ndarray) -> np.ndarray:
     suffice: a space j with h_j = k > 0 has J_k <= j, and a choice counts
     for every space at or above it, so the k cars at or below J_k count
     for j too.  A later choice x is at or below J_k exactly when no j < x
-    has h_j >= k, that is when k > P(x): it serves levels P(x) + 1..K,
-    so `_short_margins` runs on margins -1, .., -K over the draws mapped
-    to level[x].
+    has h_j >= k, that is when k > P(x): it serves levels P(x) + 1..K
+    (`_lacking`).
     """
     np.subtract(1, level[1:], out=level[1:])
     np.cumsum(level, out=level)                 # level[x] = h_{x-1}
@@ -397,24 +385,16 @@ def cars_until_full(n: int, seed: int) -> int:
     more than COUPON_SPACE_CAP spaces is refused with BudgetError before
     anything is allocated.
 
-    The process itself is not run.  The lot is full after c cars exactly
-    when, for every j, at least j of the first c choices are <= j
-    (Konheim & Weiss, 1966): cars only move right, so spaces 1..j fill
-    only from choices <= j, and no car passes an empty space.  No lot
-    fills before car n, so the first n choices are tallied in one pass,
-    a buffer at a time, and reduced to their K deficit levels
-    (`_deficit_levels`).  K is O(sqrt(n)) for a random lot: 20 to 333,
-    median 180, over 40 lots at n = 10**5.  Later cars are drawn in
-    windows of about n / 8 words, each draw mapped to its level by one
-    gather, and the least c is found by binary search in the window that
-    fills the lot.
-
-    The search keeps one margin per level k, the later cars that serve it
-    less k, and only over the levels 1..s that may still be short.  A
-    margin never falls as cars arrive, so a level whose margin has
-    reached 0 stays met: after each window or bisection round that leaves
-    the lot open, s moves down to the last level still short.  A step
-    costs O(its draws + s), with s <= K, and finds the same car.
+    The process itself is not run: the lot fills by the module's prefix
+    rule (Konheim & Weiss, 1966).  No lot fills before car n, so the
+    first n choices are tallied in one pass, a buffer at a time, and
+    reduced to their K deficit levels (`_deficit_levels`).  K is
+    O(sqrt(n)) for a random lot: 20 to 333, median 180, over 40 lots at
+    n = 10**5.  Later cars are drawn in windows of about n / 8 words,
+    each mapped to its level by one gather.  `need` holds what each level
+    still lacks, k cars for level k at first; each window, and each round
+    of the binary search in the window that fills the lot, subtracts what
+    its draws serve (`_lacking`), so a step costs O(its draws + K).
 
     Collector's reading of the same process: draw from n ranked items
     until the collection completes, where a duplicate may be traded for
@@ -432,11 +412,11 @@ def cars_until_full(n: int, seed: int) -> int:
     for start in range(0, n, size):
         draws, word = residues.draws(seed, word, min(size, n - start))
         np.add.at(level[1:], draws, np.int32(1))
-    margin = -np.arange(1, int(_deficit_levels(level)[n]) + 1)
-    if not len(margin):
+    need = np.arange(1, int(_deficit_levels(level)[n]) + 1)
+    if not len(need):
         return n                            # the first n choices park every car
-    # A window past car n costs its words plus at most K margins.  Lots
-    # fill about 0.7n cars after car n on average (median 0.35n), so
+    # A window past car n costs its words plus K levels.  Lots fill
+    # about 0.7n cars after car n on average (median 0.35n), so
     # windows of about n / 8 words take a few rounds and mix less than
     # one window past the car that fills the lot; the buffer caps them.
     window = min(n // 8 + 1, size)
@@ -444,16 +424,16 @@ def cars_until_full(n: int, seed: int) -> int:
     while True:
         draws, word = residues.draws(seed, word, window)
         part = level[draws]
-        after = _short_margins(margin, part)
+        after = _lacking(need, part)
         if after is None:
             break
-        margin, cars = after, cars + window
+        need, cars = after, cars + window
     lo, hi = 0, window                      # part[:hi] fill the lot, part[:lo] do not
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        after = _short_margins(margin, part[lo:mid])
+        after = _lacking(need, part[lo:mid])
         if after is None:
             hi = mid
         else:
-            lo, margin = mid, after
+            lo, need = mid, after
     return cars + hi

@@ -403,16 +403,6 @@ def test_cars_until_full_trivial_and_deterministic():
         simulate.cars_until_full(0, 1)
 
 
-def test_short_margins_cut_after_the_last_short_space():
-    # margin[j] = #{choices <= j} - (j + 1); draws of s = 9 or more add nothing
-    margin = np.array([-3, -1, -1, -1, -1, -1, 0, -1, 0])
-    none = np.array([], dtype=np.int64)
-    assert simulate._short_margins(margin, none).tolist() == margin[:8].tolist()
-    after = simulate._short_margins(margin, np.array([8, 2, 9, 12]))
-    assert after.tolist() == [-3, -1]
-    assert simulate._short_margins(margin, np.array([0, 0, 0, 7])) is None
-
-
 def test_deficit_levels_on_a_hand_worked_lot():
     # n = 8: after the first 8 choices (0-based) space j is short by
     # h_j = (j + 1) - #{choices <= j}
@@ -430,9 +420,9 @@ def test_deficit_levels_on_a_hand_worked_lot():
     assert level[later].tolist() == [2, 0, 3, 0]
     # level k needs k later cars at or below J_k: three cars leave levels
     # 2 and 3 short, the fourth fills the lot, as the suffix rule says
-    margin = -np.arange(1, 4)
-    assert simulate._short_margins(margin, level[later[:3]]).tolist() == [0, -1, -1]
-    assert simulate._short_margins(margin, level[later]) is None
+    need = np.arange(1, 4)
+    assert simulate._lacking(need, level[later[:3]]).tolist() == [0, 1, 1]
+    assert simulate._lacking(need, level[later]) is None
     cars = [c + 1 for c in first + later.tolist()]
     assert simulate.defect_by_suffix_counts(8, cars[:11]) > 11 - 8
     assert simulate.defect_by_suffix_counts(8, cars) == 12 - 8
@@ -493,3 +483,25 @@ def test_cars_until_full_matches_process_replay():
         at_n += want == n
         past_first_window += want > n + n // 8 + 1
     assert at_n and past_first_window
+    # lots of the benchmark's size: 50 to 130 levels, and up to three
+    # windows before the one that fills the lot
+    for i in range(60, 64):
+        n = 10 ** 4 + gen.uniform_int(10 ** 4)
+        want = _cars_replay(n, sub_seed(77, i))
+        assert simulate.cars_until_full(n, sub_seed(77, i)) == want, (n, i)
+
+
+def _parked(n, choices):
+    """Cars parked after `choices` (1-based), by the suffix-count rule."""
+    last = np.bincount(choices, minlength=n + 1)[:0:-1]     # spaces n, n-1, .., 1
+    return len(choices) - max(0, int((np.cumsum(last) - np.arange(1, n + 1)).max()))
+
+
+@pytest.mark.parametrize("n", [100, 1000, 5000])
+def test_cars_until_full_is_the_first_car_that_fills(n):
+    # the stream redrawn as one block: the lot is full after the reported
+    # car and not one car earlier
+    for seed in range(50):
+        cars = simulate.cars_until_full(n, seed)
+        choices = uniform_block(seed, n, cars)
+        assert _parked(n, choices) == n and _parked(n, choices[:-1]) < n, (n, seed)
