@@ -5,6 +5,10 @@ other: recurrence vs closed forms, process simulation vs counting,
 quadrature vs closed form, exact counts vs limit laws (ratio-limits-exact
 holds both fixed-defect limits on one set of tails).  A check returns
 (passed, detail): the miss, or for some checks what a pass measured.
+Checks that set a limit law against exact counts at growing n read
+their misses through one helper, _order: the misses must strictly fall,
+at an end-to-end rate midway or more between a right limit's and a
+wrong one's.  figure1-order holds pmf_approx and its mass that way.
 Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
 `verify` runs one of them, and the tests run each check by name.
 
@@ -352,8 +356,56 @@ def check_ratio_limit_values():
     return True, ""
 
 
+def _order(ns, misses):
+    """(falls, rate, detail): whether the misses strictly fall along ns, and
+    their rate log(first/last) / log(n_last/n_first); n**-a reads a."""
+    falls = all(a > b for a, b in zip(misses, misses[1:]))
+    rate = math.log(misses[0] / misses[-1]) / math.log(ns[-1] / ns[0])
+    misses = "/".join("%.3g" % e for e in misses)
+    return falls, rate, f"{misses} at n={'/'.join(map(str, ns))}, rate {rate:.2f}"
+
+
+def check_figure1_order():
+    # Panels m = n + y*sqrt(n): at n = 100, figure 1's m = 90, 100, 110.
+    # Over the regime's k >= 1 (the bulk) the largest gap |exact - pmf_approx|
+    # of a right curve falls like 1/n, a wrong one's like 1/sqrt(n).  At the
+    # k = 0 atom (y < 0) sqrt(n)*P(defect = 0) tends to e|y| by Pollak's
+    # formula, while pmf_approx gives 2|y|: sqrt(n)*gap tends to (e - 2)|y|.
+    ns = (100, 225, 400)
+    details = []
+    for y in (-1, 0, 1):
+        bulk, edge = [], []
+        for n in ns:
+            m = n + y * math.isqrt(n)
+            probs = exact.defect_distribution(n, m).probabilities()
+            approx = {k: asymptotic.pmf_approx(n, m, k)
+                      for k in range(max(0, m - n + 1), m + 1)}
+            gaps = {k: abs(probs[k] - p) for k, p in approx.items()}
+            edge.append(gaps.pop(0, None))
+            bulk.append(max(gaps.values()))
+        falls, rate, detail = _order(ns, bulk)
+        detail = f"y={y} bulk gap {detail}"
+        if not falls or rate < 0.75 or bulk[-1] > 0.02:
+            return False, detail + ": not falling at rate >= 3/4 to <= 0.02"
+        if y < 0:
+            _, rate, atom = _order(
+                ns, [abs((math.e - 2) * -y - math.sqrt(n) * g) for n, g in zip(ns, edge)])
+            detail += f"; k=0 |(e-2)|y| - sqrt(n)*gap| {atom}"
+            if rate < 0.75:
+                return False, detail + ": k=0 rate below 3/4"
+        if y == 0:
+            # approx holds the panel n = m = 400
+            total = sum(approx[k] for k in range(1, 61))
+            detail += f"; pmf_approx sums to {total:.4f} over k=1..60"
+            if abs(total - 1.0) > 0.05:
+                return False, detail + ", not within 0.05 of 1"
+        details.append(detail)
+    return True, " | ".join(details)
+
+
 def check_ratio_limits_exact():
-    # both fixed-defect limits, from one set of exact tails S(n, n, k), k <= 3
+    # both fixed-defect limits, from one set of exact tails S(n, n, k), k <= 3;
+    # each miss closes like 1/n, and a wrong limit's not at all
     import decimal
     ns = (250, 1000, 4000)
     tails = {n: [exact.tail_sum_alternating(n, n, k) for k in range(4)] for n in ns}
@@ -362,34 +414,34 @@ def check_ratio_limits_exact():
         target = asymptotic.defect_ratio_limit(0, k)
         errs = [abs(exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target)
                 for s in tails.values()]
-        if not all(a > b for a, b in zip(errs, errs[1:])):
-            return False, f"ratio error not strictly decreasing for k={k}: {errs}"
-        if errs[-1] > 5e-2:
-            return False, f"ratio error {errs[-1]} above 5e-2 at n={ns[-1]}"
-        reached.append(f"k={k} err@{ns[-1]}={errs[-1]:.2e}")
+        falls, rate, detail = _order(ns, errs)
+        detail = f"ratio k={k} error {detail}"
+        if not falls or rate < 0.75 or errs[-1] > 5e-2:
+            return False, detail + ": not falling at rate >= 3/4 to <= 5e-2"
+        reached.append(detail)
     for k in (1, 2, 3):
         with decimal.localcontext() as ctx:
             ctx.prec = k + 30
             target = float(asymptotic._phi_decimal(0, k))
-        errs = [abs(-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target)
-                for n in ns[1:]]
-        if not errs[-1] < errs[0]:
-            return False, f"phi(0,{k}) error grew from n={ns[1]} to n={ns[-1]}: {errs}"
+        falls, rate, detail = _order(
+            ns, [abs(-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target)
+                 for n in ns])
+        detail = f"phi(0,{k}) error {detail}"
+        if not falls or rate < 0.75:
+            return False, detail + ": not falling at rate >= 3/4"
+        reached.append(detail)
     return True, "; ".join(reached)
 
 
 def check_tail_trend():
+    # the miss closes like 1/sqrt(n), and a wrong limit's not at all
     ns = (100, 400, 1600)
-    errs = []
-    for n in ns:
-        k = math.isqrt(n)
-        val = exact.ratio_as_float(exact.tail_sum_alternating(n, n, k), n ** n)
-        errs.append(abs(val - asymptotic._limiting_tail(1.0, 0.0)))
-    if not all(a > b for a, b in zip(errs, errs[1:])):
-        return False, f"tail errors not decreasing: {errs}"
-    if errs[-1] > 0.05:
-        return False, f"tail error {errs[-1]} above 0.05 at n={ns[-1]}"
-    return True, f"errors {['%.4f' % e for e in errs]}"
+    errs = [abs(exact.ratio_as_float(exact.tail_sum_alternating(n, n, math.isqrt(n)), n ** n)
+                - asymptotic._limiting_tail(1.0, 0.0)) for n in ns]
+    falls, rate, detail = _order(ns, errs)
+    if not falls or rate < 0.25 or errs[-1] > 0.05:
+        return False, f"tail error {detail}: not falling at rate >= 1/4 to <= 0.05"
+    return True, f"tail error {detail}"
 
 
 def check_full_lot_ordering():
@@ -451,15 +503,6 @@ def check_limit_precision():
     return True, f"worst {worst:.2f} ulp at lambda={at!r}"
 
 
-def check_pmf_normalization():
-    n = 400
-    total = sum(asymptotic.pmf_approx(n, n, k)
-                for k in range(1, math.ceil(3 * math.sqrt(n)) + 1))
-    if abs(total - 1.0) > 0.05:
-        return False, f"pmf approximation sums to {total}, expected ~1"
-    return True, ""
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -482,7 +525,6 @@ QUICK_CHECKS: list[tuple[str, Callable]] = [
     ("ratio-limit-values", check_ratio_limit_values),
     ("full-lot-ordering", check_full_lot_ordering),
     ("limit-precision", check_limit_precision),
-    ("pmf-normalization", check_pmf_normalization),
 ]
 
 FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
@@ -493,4 +535,5 @@ FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
     ("coupon-experiment", check_coupon_experiment),
     ("ratio-limits-exact", check_ratio_limits_exact),
     ("tail-trend", check_tail_trend),
+    ("figure1-order", check_figure1_order),
 ]

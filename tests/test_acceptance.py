@@ -8,10 +8,9 @@ run from the `full_check` fixture, and asserts its budget on the
 seconds that run took.
 """
 
-import math
 import time
 
-from parkfun import asymptotic, checks, exact
+from parkfun import checks, exact
 
 TABLE = {
     1: [1],
@@ -105,58 +104,10 @@ def test_criterion_10_tree_function_fidelity(full_check):
     assert report(10, "tree function fidelity", ok), results
 
 
-def _figure1_gaps(n, m):
-    """|exact - approx| over the k of the approximation's regime m < n + k.
-
-    Returns the bulk gap (the largest over k >= 1) and the gap at the
-    k = 0 atom, which is None when k = 0 lies outside the regime (m >= n).
-    """
-    probs = exact.defect_distribution(n, m).probabilities()
-    gaps = {k: abs(probs[k] - asymptotic.pmf_approx(n, m, k))
-            for k in range(m + 1) if m < n + k}
-    edge = gaps.pop(0, None)
-    return max(gaps.values()), edge
-
-
-def test_criterion_11_figure1_agreement():
-    # Panels m = n + y*sqrt(n), y in {-1, 0, +1}: at n = 100 these are
-    # figure 1's m = 90, 100, 110.  The bulk gap of a right curve falls
-    # like 1/n and that of a wrong one like 1/sqrt(n); 3/4 is the midpoint
-    # of the two rates.  At the k = 0 atom (y < 0) sqrt(n)*P(defect = 0)
-    # tends to e|y| by Pollak's formula, while pmf_approx gives 2|y|, so
-    # sqrt(n)*gap tends to (e - 2)|y| and the miss from that limit decays.
-    t0 = time.perf_counter()
-    sizes = (100, 225, 400)
-    min_rate = 0.75
-
-    def rate(first, last):
-        return math.log(first / last) / math.log(sizes[-1] / sizes[0])
-
-    ok = True
-    details = []
-    for y in (-1, 0, 1):
-        bulk, edge = zip(*(_figure1_gaps(n, n + y * math.isqrt(n))
-                           for n in sizes))
-        bulk_rate = rate(bulk[0], bulk[-1])
-        ok &= bulk[0] > bulk[1] > bulk[2]
-        ok &= bulk[-1] <= 0.02
-        ok &= bulk_rate >= min_rate
-        m0 = sizes[0] + y * math.isqrt(sizes[0])
-        detail = (f"y={y} (m={m0} at n={sizes[0]}): bulk@n={sizes} "
-                  f"{'/'.join('%.4f' % g for g in bulk)}, rate {bulk_rate:.2f}")
-        if y < 0:
-            miss = [abs((math.e - 2) * abs(y) - math.sqrt(n) * g)
-                    for n, g in zip(sizes, edge)]
-            edge_rate = rate(miss[0], miss[-1])
-            ok &= edge_rate >= min_rate
-            detail += (f"; k=0 gap@n={sizes[0]} {edge[0]:.4f}, "
-                       f"|(e-2)|y|-sqrt(n)*gap| "
-                       f"{'/'.join('%.4f' % d for d in miss)}, "
-                       f"rate {edge_rate:.2f}")
-        details.append(detail)
-    elapsed = time.perf_counter() - t0
+def test_criterion_11_figure1_agreement(full_check):
+    ok, detail, elapsed = full_check("figure1-order")
     assert report(11, "figure-1 approximation converges", ok,
-                  " | ".join(details) + f", {elapsed:.2f}s")
+                  detail + f", {elapsed:.2f}s")
     assert elapsed < 20.0
 
 

@@ -21,18 +21,33 @@ def test_check_passes(full_check, name):
 
 
 def test_ratio_limits_exact_fails_on_either_wrong_target(monkeypatch):
-    # the phi half, with the ratio limits held at their true values
+    # the phi half, with the ratio limits held at their true values: phi + 1
+    # makes the misses grow, and phi - 1 makes them fall at rate about 0
     ratio = {k: asymptotic.defect_ratio_limit(0, k) for k in (1, 2)}
     phi = asymptotic._phi_decimal
-    with monkeypatch.context() as patch:
-        patch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k])
-        patch.setattr(asymptotic, "_phi_decimal", lambda ell, k: phi(ell, k) + 1)
-        passed, detail = checks.check_ratio_limits_exact()
-    assert not passed and detail.startswith("phi(0,1) error grew"), detail
+    for shift in (1, -1):
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k])
+            patch.setattr(asymptotic, "_phi_decimal", lambda ell, k: phi(ell, k) + shift)
+            passed, detail = checks.check_ratio_limits_exact()
+        assert not passed and detail.startswith("phi(0,1) error"), detail
     # the ratio half
     monkeypatch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k] + 0.1)
     passed, detail = checks.check_ratio_limits_exact()
-    assert not passed and detail.startswith("ratio error"), detail
+    assert not passed and detail.startswith("ratio k=1 error"), detail
+
+
+@pytest.mark.parametrize("scale, expo, tripped", [
+    (1.05, 2.0, "k=0 rate below 3/4"),      # the k = 0 atom's miss levels off
+    (0.95, 2.0, "k=0 rate below 3/4"),
+    (1.0, 1.9, "not within 0.05 of 1"),     # every rate holds; the mass moves 5 %
+])
+def test_figure1_order_fails_on_a_wrong_pmf_approx(monkeypatch, scale, expo, tripped):
+    # scale * (2/n)(2k - m + n) exp(-expo * k(k - m + n)/n); pmf_approx has 1 and 2
+    monkeypatch.setattr(asymptotic, "pmf_approx", lambda n, m, k: scale * 2.0 / n
+                        * (2 * k - m + n) * math.exp(-expo * k * (k - m + n) / n))
+    passed, detail = checks.check_figure1_order()
+    assert not passed and detail.endswith(tripped), detail
 
 
 def test_park_instances_are_the_scalar_draws(counted_words):
