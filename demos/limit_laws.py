@@ -10,7 +10,6 @@ import math
 
 from parkfun import (
     defect_ratio_limit,
-    density_integral_check,
     full_lot_limit,
     rayleigh_cdf,
     ratio_as_float,
@@ -20,17 +19,15 @@ from parkfun import (
 )
 
 print("1. Rayleigh law: P(defect >= sqrt(n)) -> e^-2 =", f"{math.exp(-2):.6f}")
+tails = []
 for n in (100, 400, 1600):
     k = math.isqrt(n)
-    p = ratio_as_float(tail_sum_alternating(n, n, k), n ** n)
-    print(f"   n={n:>5d}: exact P(defect >= {k:>2d}) = {p:.6f}")
+    tails.append(ratio_as_float(tail_sum_alternating(n, n, k), n ** n))
+    print(f"   n={n:>5d}: exact P(defect >= {k:>2d}) = {tails[-1]:.6f}")
+print("   the miss closes like 1/sqrt(n), so Richardson's 2 P(1600) - P(400)",
+      f"= {2 * tails[2] - tails[1]:.6f}")
 print("   limiting CDF of defect/sqrt(n):",
       ", ".join(f"F({x})={rayleigh_cdf(x):.4f}" for x in (0.5, 1.0, 2.0)))
-
-print("\n   The tail limit also equals an integral over the final")
-print("   occupancy fraction; adaptive quadrature reproduces it:")
-got = density_integral_check(1.0, 0.0)
-print(f"   integral = {got:.9f}   e^-2 = {math.exp(-2):.9f}")
 
 print("\n2. Fixed-defect ratios for m = n:")
 print(f"   limit of cp(n,n,1)/cp(n,n,0) = 2e - 3      = {defect_ratio_limit(0, 1):.6f}")

@@ -16,7 +16,6 @@ import importlib
 
 from .asymptotic import (
     defect_ratio_limit,
-    density_integral_check,
     full_lot_limit,
     pmf_approx,
     rayleigh_cdf,
@@ -49,7 +48,6 @@ __all__ = [
     "defect_count_recurrence",
     "defect_distribution",
     "defect_ratio_limit",
-    "density_integral_check",
     "enumerate_exhaustive",
     "full_lot_limit",
     "park",

@@ -6,10 +6,9 @@ otherwise); at y = 0 the defect scaled by sqrt(n) is therefore Rayleigh.
 With m = lambda*n drivers the probability that the lot fills tends to
 1 - T(lambda*e**-lambda)/lambda for lambda > 1, where T is the tree
 function, the inverse of t -> t*e**-t on [0, 1].  This module evaluates
-those limits, the finite-n probability approximation they induce, the
-fixed-defect ratio limits, and the density whose integral over the
-occupancy fraction reproduces the tail limit (a quadrature cross-check
-of the closed form).
+those limits, the finite-n probability approximation they induce and
+the fixed-defect ratio limits; parkfun.checks holds each of them
+against exact counts.
 
 Everything here is IEEE double arithmetic but the decimal phi(ell, k);
 exact counts enter only through exact.ratio_as_float.
@@ -21,10 +20,6 @@ import math
 
 TREE_ARG_MAX = math.exp(-1.0)
 
-# density_integral_check's adaptive Simpson: absolute tolerance, recursion depth
-_QUAD_TOL = 1e-9
-_QUAD_MAX_DEPTH = 40
-
 # Below this lambda, full_lot_limit solves for u = lambda - T(...) by the
 # series of _conjugate_gap.  Against 60-digit references, 300 random
 # lambda per band, that form misses by at most 1.7 ulp on (1, 1.5), where
@@ -35,10 +30,6 @@ _QUAD_MAX_DEPTH = 40
 _FULL_LOT_SWITCH = 1.5
 # 1/(k+1)!, k = 1..18, signed: q(u)/u = 1/2 - u/6 + u**2/24 - ..
 _Q_SERIES = tuple((-1) ** (k + 1) / math.factorial(k + 1) for k in range(1, 19))
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach its tolerance."""
 
 
 def tree_function(v: float) -> float:
@@ -122,65 +113,6 @@ def pmf_approx(n: int, m: int, k: int) -> float:
     if m >= n + k:
         raise ValueError(f"approximation requires m < n + k, got m={m}, n+k={n + k}")
     return (2.0 / n) * (2 * k - m + n) * math.exp(-2.0 * k * (k - m + n) / n)
-
-
-def _density(x: float, y: float, alpha: float) -> float:
-    """Density, over the occupancy fraction alpha, of the tail limit.
-
-    (x-y)/sqrt(2*pi*alpha^3*(1-alpha)) * exp(-(x-(1-alpha)y)^2/(2*alpha*(1-alpha)))
-
-    for 0 < alpha < 1 and x > y, which density_integral_check, the one
-    caller, ensures.  The endpoint singularities are integrable and
-    belong to the quadrature routine, not this evaluator.
-    """
-    expo = -((x - (1.0 - alpha) * y) ** 2) / (2.0 * alpha * (1.0 - alpha))
-    if expo < -745.0:  # exp underflows; at tiny alpha, alpha**3 too, a 0 divisor
-        return 0.0
-    return (x - y) / math.sqrt(2.0 * math.pi * alpha ** 3 * (1.0 - alpha)) \
-        * math.exp(expo)
-
-
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth <= 0:
-        raise QuadratureError("adaptive quadrature exceeded maximum depth")
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_adaptive_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-            + _adaptive_simpson(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1))
-
-
-def density_integral_check(x: float, y: float) -> float:
-    """Integral of _density over alpha in (0, 1).
-
-    Substitutes alpha = sin(theta)^2 to flatten the endpoint behavior,
-    then integrates by adaptive Simpson to absolute tolerance 1e-9; the
-    result should equal the closed form exp(-2x(x-y)) to well within 1e-6.
-    """
-    if not x > y:                               # nan fails it too
-        raise ValueError("integral check requires x > y")
-
-    def integrand(theta: float) -> float:
-        s = math.sin(theta)
-        alpha = s * s
-        if alpha <= 0.0 or alpha >= 1.0:
-            # the integrand's limits: 0, save at alpha = 1 when x = 0, where
-            # the exponent tends to 0 and sin(2 theta) cancels the density's
-            # 1/sqrt(1 - alpha), leaving 2(x - y)/sqrt(2 pi)
-            if alpha >= 1.0 and x == 0.0:
-                return 2.0 * (x - y) / math.sqrt(2.0 * math.pi)
-            return 0.0
-        return _density(x, y, alpha) * math.sin(2.0 * theta)
-
-    b = 0.5 * math.pi
-    fa, fm, fb = integrand(0.0), integrand(0.5 * b), integrand(b)
-    whole = b / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(integrand, 0.0, b, fa, fm, fb, whole,
-                             _QUAD_TOL, _QUAD_MAX_DEPTH)
 
 
 def _conjugate_gap(lam: float) -> float:

@@ -2,13 +2,17 @@
 
 Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
-quadrature vs closed form, exact counts vs limit laws (ratio-limits-exact
-holds both fixed-defect limits on one set of tails).  A check returns
-(passed, detail): the miss, or for some checks what a pass measured.
-Checks that set a limit law against exact counts at growing n read
-their misses through one helper, _order: the misses must strictly fall,
-at an end-to-end rate midway or more between a right limit's and a
-wrong one's.  figure1-order holds pmf_approx and its mass that way.
+exact counts vs limit laws (ratio-limits-exact holds both fixed-defect
+limits on one set of tails, tail-limit-grid the tail limit on a grid of
+(x, y)).  A check returns (passed, detail): the miss, or for some checks
+what a pass measured.  Checks that set a limit law against exact counts
+at growing n read their misses through one helper, _order: the misses
+must strictly fall, at an end-to-end rate midway or more between a
+right limit's and a wrong one's.  figure1-order holds pmf_approx and its
+mass that way.  A rate alone passes a limit off by a little, so the
+tail and ratio checks also bound Richardson's extrapolated miss, which
+_extrapolate takes from the last two n, each within 3 times its value
+on the true code.
 Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
 `verify` runs one of them, and the tests run each check by name.
 
@@ -331,18 +335,6 @@ def check_tree_function_grid():
     return True, ""
 
 
-def check_density_integral_grid():
-    for x in (0.25, 0.5, 1.0, 2.0):
-        for y in (-1.0, 0.0, 0.5):
-            if x <= y:
-                continue
-            got = asymptotic.density_integral_check(x, y)
-            want = asymptotic._limiting_tail(x, y)
-            if abs(got - want) > 1e-6:
-                return False, f"alpha-density integral off at ({x},{y}): {got} vs {want}"
-    return True, ""
-
-
 def check_ratio_limit_values():
     want = {
         (0, 0): 1.0,
@@ -363,6 +355,13 @@ def _order(ns, misses):
     rate = math.log(misses[0] / misses[-1]) / math.log(ns[-1] / ns[0])
     misses = "/".join("%.3g" % e for e in misses)
     return falls, rate, f"{misses} at n={'/'.join(map(str, ns))}, rate {rate:.2f}"
+
+
+def _extrapolate(ns, misses, rate):
+    """Richardson's limit of misses that close like n**-rate, from the last
+    two: (r e(n_last) - e(n_prev)) / (r - 1), with r = (n_last/n_prev)**rate."""
+    r = (ns[-1] / ns[-2]) ** rate
+    return (r * misses[-1] - misses[-2]) / (r - 1.0)
 
 
 def check_figure1_order():
@@ -405,19 +404,26 @@ def check_figure1_order():
 
 def check_ratio_limits_exact():
     # both fixed-defect limits, from one set of exact tails S(n, n, k), k <= 3;
-    # each miss closes like 1/n, and a wrong limit's not at all
+    # each miss closes like 1/n, and a wrong limit's not at all.  The ratio's
+    # Richardson (4 e(4000) - e(1000))/3 cancels the 1/n term; it is bounded
+    # by 3 times what is left on the true code, as measured before the bound's
+    # first run
     import decimal
     ns = (250, 1000, 4000)
     tails = {n: [exact.tail_sum_alternating(n, n, k) for k in range(4)] for n in ns}
     reached = []
-    for k in (1, 2):
+    for k, size in ((1, 8.9e-6), (2, 9.7e-5)):
         target = asymptotic.defect_ratio_limit(0, k)
-        errs = [abs(exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target)
+        errs = [exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target
                 for s in tails.values()]
-        falls, rate, detail = _order(ns, errs)
+        falls, rate, detail = _order(ns, [abs(e) for e in errs])
         detail = f"ratio k={k} error {detail}"
-        if not falls or rate < 0.75 or errs[-1] > 5e-2:
+        if not falls or rate < 0.75 or abs(errs[-1]) > 5e-2:
             return False, detail + ": not falling at rate >= 3/4 to <= 5e-2"
+        extrapolated = _extrapolate(ns, errs, 1)
+        detail += f", extrapolated {extrapolated:.2g}"
+        if abs(extrapolated) > 3 * size:
+            return False, detail + f" beyond {3 * size:.2g}"
         reached.append(detail)
     for k in (1, 2, 3):
         with decimal.localcontext() as ctx:
@@ -433,15 +439,35 @@ def check_ratio_limits_exact():
     return True, "; ".join(reached)
 
 
-def check_tail_trend():
-    # the miss closes like 1/sqrt(n), and a wrong limit's not at all
+def check_tail_limit_grid():
+    # P(defect >= x*sqrt(n)) at m = n + y*sqrt(n) against exp(-2x(x - y)),
+    # at each x > y of the grid.  Each miss e(n) closes like 1/sqrt(n), and a
+    # wrong limit's not at all.  Richardson's 2 e(1600) - e(400) cancels the
+    # 1/sqrt(n) term; it is bounded by 3 times what is left on the true code,
+    # as measured before the check's first run
     ns = (100, 400, 1600)
-    errs = [abs(exact.ratio_as_float(exact.tail_sum_alternating(n, n, math.isqrt(n)), n ** n)
-                - asymptotic._limiting_tail(1.0, 0.0)) for n in ns]
-    falls, rate, detail = _order(ns, errs)
-    if not falls or rate < 0.25 or errs[-1] > 0.05:
-        return False, f"tail error {detail}: not falling at rate >= 1/4 to <= 0.05"
-    return True, f"tail error {detail}"
+    measured = {(0.5, -1): 1.5e-4, (1, -1): 3.1e-5, (1.5, -1): 1.7e-6, (2, -1): 3.3e-8,
+                (0.5, 0): 1.0e-4, (1, 0): 3.5e-5, (1.5, 0): 9.9e-6, (2, 0): 1.7e-6,
+                (1.5, 1): 3.4e-5, (2, 1): 3.0e-5}
+    reached = []
+    for (x, y), size in measured.items():
+        limit = asymptotic._limiting_tail(x, y)
+        errs = []
+        for n in ns:
+            r = math.isqrt(n)
+            m = n + y * r
+            p = exact.ratio_as_float(exact.tail_sum_alternating(n, m, int(x * r)), n ** m)
+            errs.append(p - limit)
+        falls, rate, detail = _order(ns, [abs(e) for e in errs])
+        detail = f"({x},{y}) tail error {detail}"
+        if not falls or rate < 0.25 or abs(errs[-1]) > 0.05:
+            return False, detail + ": not falling at rate >= 1/4 to <= 0.05"
+        extrapolated = _extrapolate(ns, errs, 0.5)
+        detail += f", extrapolated {extrapolated:.2g}"
+        if abs(extrapolated) > 3 * size:
+            return False, detail + f" beyond {3 * size:.2g}"
+        reached.append(detail)
+    return True, "; ".join(reached)
 
 
 def check_full_lot_ordering():
@@ -521,7 +547,6 @@ QUICK_CHECKS: list[tuple[str, Callable]] = [
     ("permutation-invariance", check_permutation_invariance),
     ("sampling-determinism", check_sampling_determinism),
     ("tree-function-grid", check_tree_function_grid),
-    ("density-integral-grid", check_density_integral_grid),
     ("ratio-limit-values", check_ratio_limit_values),
     ("full-lot-ordering", check_full_lot_ordering),
     ("limit-precision", check_limit_precision),
@@ -534,6 +559,6 @@ FULL_CHECKS: list[tuple[str, Callable]] = QUICK_CHECKS + [
     ("monte-carlo-calibration", check_monte_carlo_calibration),
     ("coupon-experiment", check_coupon_experiment),
     ("ratio-limits-exact", check_ratio_limits_exact),
-    ("tail-trend", check_tail_trend),
+    ("tail-limit-grid", check_tail_limit_grid),
     ("figure1-order", check_figure1_order),
 ]

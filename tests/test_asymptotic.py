@@ -104,31 +104,6 @@ class TestPmfApprox:
         assert abs(p - asymptotic.pmf_approx(100, 110, 15)) < 0.02
 
 
-class TestDensity:
-    def test_pinned_value(self):
-        # multiprecision evaluation of the closed form at (1, 0, 1/2)
-        assert abs(asymptotic._density(1.0, 0.0, 0.5)
-                   - 0.2159638660527522078022568) <= 1e-15
-
-    def test_positive_on_grid(self):
-        for i in range(1, 50):
-            assert asymptotic._density(1.0, 0.0, i / 50) >= 0.0
-
-    @pytest.mark.parametrize("x,y", [(1.0, 0.0), (2.0, 1.0), (0.3, -0.5), (0.0, -1.0)])
-    def test_integral_matches_closed_form(self, x, y):
-        got = asymptotic.density_integral_check(x, y)
-        assert abs(got - math.exp(-2 * x * (x - y))) <= 1e-6
-
-    def test_integral_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            asymptotic.density_integral_check(0.5, 0.5)
-
-    def test_integral_rejects_nan(self):
-        for x, y in ((math.nan, 0.0), (0.0, math.nan)):
-            with pytest.raises(ValueError, match="x > y"):
-                asymptotic.density_integral_check(x, y)
-
-
 class TestFullLot:
     def test_limit_branches(self):
         assert asymptotic.full_lot_limit(0.4) == 0.0

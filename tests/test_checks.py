@@ -31,10 +31,26 @@ def test_ratio_limits_exact_fails_on_either_wrong_target(monkeypatch):
             patch.setattr(asymptotic, "_phi_decimal", lambda ell, k: phi(ell, k) + shift)
             passed, detail = checks.check_ratio_limits_exact()
         assert not passed and detail.startswith("phi(0,1) error"), detail
-    # the ratio half
-    monkeypatch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k] + 0.1)
-    passed, detail = checks.check_ratio_limits_exact()
-    assert not passed and detail.startswith("ratio k=1 error"), detail
+    # the ratio half: + 0.1 makes the misses level off, and +- 1e-3 leaves
+    # them falling at rates 0.90 and 1.14 but moves the extrapolated limit
+    for shift, tripped in ((0.1, "to <= 5e-2"), (1e-3, "beyond 2.7e-05"),
+                           (-1e-3, "beyond 2.7e-05")):
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotic, "defect_ratio_limit",
+                          lambda ell, k: ratio[k] + shift)
+            passed, detail = checks.check_ratio_limits_exact()
+        assert not passed and detail.startswith("ratio k=1 error"), detail
+        assert detail.endswith(tripped), detail
+
+
+@pytest.mark.parametrize("scale", [1.01, 1.001, 0.999])
+def test_tail_limit_grid_fails_on_a_wrong_limit(monkeypatch, scale):
+    # every raw miss still falls at a rate above 1/4; the extrapolated miss
+    # moves by (scale - 1) times the limit, 6e-4 at (0.5, 0) for 1 +- 1e-3
+    tail = asymptotic._limiting_tail
+    monkeypatch.setattr(asymptotic, "_limiting_tail", lambda x, y: scale * tail(x, y))
+    passed, detail = checks.check_tail_limit_grid()
+    assert not passed and ", extrapolated " in detail and " beyond " in detail, detail
 
 
 @pytest.mark.parametrize("scale, expo, tripped", [

@@ -108,7 +108,7 @@ def test_every_public_name_resolves():
     exec("from parkfun import *", namespace)
     namespace.pop("__builtins__")
     assert sorted(namespace) == sorted(parkfun.__all__)
-    assert len(namespace) == 24
+    assert len(namespace) == 23
 
 
 def test_budget_error_lives_in_exact():
