@@ -28,7 +28,8 @@ the lot's own n in numpy.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
-the affected checks fail loudly.
+the affected checks fail loudly.  tests/test_checks.py keeps a table of
+such faults, each row listing every check that it fails.
 """
 
 from __future__ import annotations
@@ -50,9 +51,10 @@ from .rng import SplitMix64, _Residues, sub_seed
 
 def check_three_way_equivalence():
     # one table holds the recurrence's cp(n, m, k) = a(n - m + k, m - k, k)
-    # for every n <= 10, m <= 12; a negative r has no outcome
-    table = exact.DefectTable(10, 12, 12)
-    for n in range(1, 11):
+    # for every n, m <= 12; a negative r has no outcome.  Both tail forms
+    # are 0 past k = m, so equal differences make every tail equal too
+    table = exact.DefectTable(12, 12, 12)
+    for n in range(1, 13):
         for m in range(13):
             for k in range(m + 1):
                 r = n - m + k
@@ -62,15 +64,6 @@ def check_three_way_equivalence():
                        - exact.tail_sum_alternating(n, m, k + 1))
                 if not rec == exp == alt:
                     return False, f"cp({n},{m},{k}): rec={rec} explicit={exp} alt={alt}"
-    return True, ""
-
-
-def check_row_sums():
-    for n in range(1, 13):
-        for m in range(15):
-            dist = exact.defect_distribution(n, m)
-            if sum(dist.counts) != n ** m:
-                return False, f"sum cp({n},{m},k) != {n}**{m}"
     return True, ""
 
 
@@ -163,12 +156,13 @@ def check_ladder_split_agreement():
                 return False, f"tails at ({n},{m}) split {split} != tail_sum"
     picked = []
     # (300, 330) is the one lot here with lo > 0 and a nonempty alternating half
-    for n, m in ((10 ** 12, 60), (200, 390), (50, 200), (330, 300), (300, 330)):
+    for n, m in ((10 ** 12, 60), (200, 390), (50, 200), (330, 300), (300, 330),
+                 (10 ** 9, 80)):
         lo = max(0, m - n + 1)
         split = exact._split(n, m)
         tails = exact._abel_tails(n, m, split)
-        # both ends of the alternating half, its middle, and the first Abel tail
-        ks = {lo + 1, (lo + split) // 2, split, split + 1} & set(range(lo + 1, m + 1))
+        # both ends of the alternating half, its middle, and both ends of Abel's
+        ks = {lo + 1, (lo + split) // 2, split, split + 1, m} & set(range(lo + 1, m + 1))
         for k in sorted(ks):
             if tails[k - lo - 1] != exact.tail_sum_alternating(n, m, k):
                 return False, f"S({n},{m},{k}) at split {split} != alternating form"
@@ -182,7 +176,10 @@ def check_ladder_split_agreement():
 
 def _enumeration_agrees(pairs):
     for n, m in pairs:
-        if exact.defect_distribution(n, m) != simulate.enumerate_exhaustive(n, m):
+        dist = exact.defect_distribution(n, m)
+        if sum(dist.counts) != n ** m:
+            return False, f"sum cp({n},{m},k) != {n}**{m}"
+        if dist != simulate.enumerate_exhaustive(n, m):
             return False, f"enumeration disagrees with exact counts at ({n},{m})"
     return True, f"{len(pairs)} pairs"
 
@@ -534,7 +531,6 @@ def check_limit_precision():
 
 QUICK_CHECKS: list[tuple[str, Callable]] = [
     ("three-way-equivalence", check_three_way_equivalence),
-    ("row-sums", check_row_sums),
     ("support", check_support),
     ("pollak-consistency", check_pollak),
     ("closed-form-k0", check_closed_form_k0),

@@ -47,8 +47,9 @@ EXIT_CAP_REFUSED = 3
 _LAMBDA_GRID_CAP = 10 ** 5
 
 # stream words a simulate or coupon run may draw.  On a 2-core Xeon, CPU
-# min of 3: 1.2 min of simulate at 8.4 ns a word (n = m = 1000), 1.5 min
-# of coupon at n = 10**5 (10.1 ns a counted word), 1.9 min at 10**7 (13.0)
+# min of 3: 0.9 min of simulate at 6.2 ns a word (n = m = 1000), 1.3-1.5
+# min of coupon at n = 10**5 (9.4-10.4 ns a counted word), 1.7-1.9 min at
+# 10**7 (11.6-13.1)
 _WORD_BUDGET = 1 << 33
 
 # counts stay exact far beyond this, but probability columns need n**m;

@@ -4,14 +4,19 @@ Each invariant the checks state is defined once, in `parkfun.checks`;
 tests elsewhere keep only what no check covers.  A test that restated a
 check was folded into it, its stricter bound or extra case included,
 and deleted.  Each check runs once per session, through the
-`full_check` fixture the acceptance criteria read too.
+`full_check` fixture the acceptance criteria read too, and again under
+each fault of FAULTS that it owns.
 """
 
+import functools
 import math
+import re
+from decimal import Decimal
 
 import pytest
 
-from parkfun import asymptotic, checks
+import parkfun
+from parkfun import checks, cli
 
 
 @pytest.mark.parametrize("name", [name for name, _ in checks.FULL_CHECKS])
@@ -20,50 +25,89 @@ def test_check_passes(full_check, name):
     assert passed, detail
 
 
-def test_ratio_limits_exact_fails_on_either_wrong_target(monkeypatch):
-    # the phi half, with the ratio limits held at their true values: phi + 1
-    # makes the misses grow, and phi - 1 makes them fall at rate about 0
-    ratio = {k: asymptotic.defect_ratio_limit(0, k) for k in (1, 2)}
-    phi = asymptotic._phi_decimal
-    for shift in (1, -1):
-        with monkeypatch.context() as patch:
-            patch.setattr(asymptotic, "defect_ratio_limit", lambda ell, k: ratio[k])
-            patch.setattr(asymptotic, "_phi_decimal", lambda ell, k: phi(ell, k) + shift)
-            passed, detail = checks.check_ratio_limits_exact()
-        assert not passed and detail.startswith("phi(0,1) error"), detail
-    # the ratio half: + 0.1 makes the misses level off, and +- 1e-3 leaves
-    # them falling at rates 0.90 and 1.14 but moves the extrapolated limit
-    for shift, tripped in ((0.1, "to <= 5e-2"), (1e-3, "beyond 2.7e-05"),
-                           (-1e-3, "beyond 2.7e-05")):
-        with monkeypatch.context() as patch:
-            patch.setattr(asymptotic, "defect_ratio_limit",
-                          lambda ell, k: ratio[k] + shift)
-            passed, detail = checks.check_ratio_limits_exact()
-        assert not passed and detail.startswith("ratio k=1 error"), detail
-        assert detail.endswith(tripped), detail
+def _plus(shift):
+    return lambda f: lambda *args: f(*args) + shift
 
 
-@pytest.mark.parametrize("scale", [1.01, 1.001, 0.999])
-def test_tail_limit_grid_fails_on_a_wrong_limit(monkeypatch, scale):
-    # every raw miss still falls at a rate above 1/4; the extrapolated miss
-    # moves by (scale - 1) times the limit, 6e-4 at (0.5, 0) for 1 +- 1e-3
-    tail = asymptotic._limiting_tail
-    monkeypatch.setattr(asymptotic, "_limiting_tail", lambda x, y: scale * tail(x, y))
-    passed, detail = checks.check_tail_limit_grid()
-    assert not passed and ", extrapolated " in detail and " beyond " in detail, detail
+def _times(scale):
+    return lambda f: lambda *args: scale * f(*args)
 
 
-@pytest.mark.parametrize("scale, expo, tripped", [
-    (1.05, 2.0, "k=0 rate below 3/4"),      # the k = 0 atom's miss levels off
-    (0.95, 2.0, "k=0 rate below 3/4"),
-    (1.0, 1.9, "not within 0.05 of 1"),     # every rate holds; the mass moves 5 %
-])
-def test_figure1_order_fails_on_a_wrong_pmf_approx(monkeypatch, scale, expo, tripped):
-    # scale * (2/n)(2k - m + n) exp(-expo * k(k - m + n)/n); pmf_approx has 1 and 2
-    monkeypatch.setattr(asymptotic, "pmf_approx", lambda n, m, k: scale * 2.0 / n
-                        * (2 * k - m + n) * math.exp(-expo * k * (k - m + n) / n))
-    passed, detail = checks.check_figure1_order()
-    assert not passed and detail.endswith(tripped), detail
+def _abel_middle(f):
+    # at m >= 100, one Abel sum too high: the middle tail k rises by n - m + k
+    def tails(n, m, split):
+        got, lo = f(n, m, split), max(0, m - n + 1)
+        k = (lo + 1 + m) // 2
+        got[k - lo - 1] += (n - m + k) * (m >= 100)
+        return got
+    return tails
+
+
+# A fault patches the library attribute its id names.  Its owners, split by
+# "; ", are every check it fails in one FULL_CHECKS pass, as measured, with
+# fragments of the detail after ": ", and command lines whose stdout it changes.
+SMALL = ("three-way-equivalence; support; pollak-consistency; diagonal-special-cases; "
+         "exhaustive-oracle-small; exhaustive-oracle-full")
+RATIO = "ratio-limit-values; ratio-limits-exact: ratio k=1 error ... "
+FAULTS = [
+    # phi +- 1 moves the ratio limits too; a scaled phi reaches only the phi half
+    *[(f"asymptotic._phi_decimal{d:+}", _plus(d), RATIO + "to <= 5e-2") for d in (1, -1)],
+    *[(f"asymptotic._phi_decimal*{c}", _times(Decimal(c)), "ratio-limits-exact: phi(0,1) error "
+       "... not falling at rate >= 3/4") for c in ("1.01", "0.99")],
+    # +- 1e-3, or a scaled tail limit, moves only the extrapolated limit
+    ("asymptotic.defect_ratio_limit+0.1", _plus(0.1), RATIO + "to <= 5e-2"),
+    *[(f"asymptotic.defect_ratio_limit{d:+}", _plus(d), RATIO + "beyond 2.7e-05")
+      for d in (1e-3, -1e-3)],
+    ("asymptotic.defect_ratio_limit+1e-11", _plus(1e-11), "ratio-limit-values: (0,0) = 1.0000"),
+    ("asymptotic._limiting_tail*1.01", _times(1.01), "tail-limit-grid: (0.5,-1) ... 0.00045"),
+    *[(f"asymptotic._limiting_tail*{c}", _times(c), "tail-limit-grid: (0.5,0) ... 0.0003")
+      for c in (1.001, 0.999)],
+    *[(f"asymptotic.pmf_approx*{c}", _times(c), "figure1-order: y=-1 ... k=0 rate below")
+      for c in (1.05, 0.95)],
+    ("asymptotic.pmf_approx(exponent*0.95)", lambda f: lambda n, m, k: f(n, m, k) * math.exp(
+        0.1 * k * (k - m + n) / n), "figure1-order: y=0 ... not within 0.05 of 1"),
+    ("asymptotic.full_lot_limit*(1+1e-12)", _times(1 + 1e-12), "limit-precision: (30.0) is"),
+    ("asymptotic.tree_function*(1+1e-12)", _times(1 + 1e-12), "limit-precision: (1.6) is"),
+    ("exact.tail_sum+k", lambda f: lambda n, m, k: f(n, m, k) + k, SMALL + "; tail-upper-bound; "
+     "full-lot-ordering; ladder-split-agreement; monotone-tails: tail sums not monotone "
+     "at (1,1,2): S(k-1)=1, S(k)=2"),
+    ("exact.tail_sum+[k=0]", lambda f: lambda n, m, k: f(n, m, k) + (k == 0),
+     SMALL + "; tail-upper-bound"),
+    # off by one in k, since a uniform shift cancels in every difference
+    ("exact.tail_sum(k+1)", lambda f: lambda n, m, k: f(n, m, k + 1), SMALL + "; figure1-order; "
+     "full-lot-ordering; ladder-split-agreement; coupon-experiment; parkfun dist --n 7 --m 9; "
+     "parkfun dist --n 9 --m 7; parkfun table --n 6; parkfun plotdata-fig1 --n 20 --m 18; "
+     "parkfun plotdata-fig2 --n 12"),
+    ("exact.tail_sum_alternating+[n>=100]", lambda f: lambda n, m, k: f(n, m, k) + (n >= 100),
+     "ladder-split-agreement"),
+    ("exact._full_lot_counts+[n>=10]", lambda f: lambda n, ms: [c + (n >= 10) for c in f(n, ms)],
+     "full-lot-ordering"),
+    ("exact.DefectTable.value+1", _plus(1), "three-way-equivalence; closed-form-k0"),
+    ("exact.DefectTable.value+[r+s>=8,k>=1]", lambda f: lambda t, r, s, k: f(t, r, s, k)
+     + (r + s >= 8 and k >= 1), "three-way-equivalence: cp(8,1,1)"),
+    ("exact._abel_tails+1", lambda f: lambda n, m, split: [t + 1 for t in f(n, m, split)],
+     "exhaustive-oracle-small; exhaustive-oracle-full; ladder-split-agreement"),
+    ("exact._abel_tails-middle+1", _abel_middle, "parkfun dist --n 150 --m 150"),
+    ("simulate.cars_until_full+2", _plus(2), "coupon-experiment: beyond the 0.1 % point 1.95"),
+]
+
+
+@pytest.mark.parametrize("fault, transform, owners", FAULTS, ids=[row[0] for row in FAULTS])
+def test_fault_fails_its_owners(capsys, monkeypatch, fault, transform, owners):
+    def stdout(line):
+        cli.main(line.split()[1:])
+        return capsys.readouterr().out
+    owners = [owner.partition(": ") for owner in owners.split("; ")]
+    lines = {name: stdout(name) for name, _, _ in owners if name.startswith("parkfun ")}
+    path = re.match(r"[\w.]+", fault)[0]
+    monkeypatch.setattr("parkfun." + path,
+                        transform(functools.reduce(getattr, path.split("."), parkfun)))
+    for name, _, fragment in owners:
+        if name in lines:
+            assert stdout(name) != lines[name], name
+        else:
+            passed, detail = dict(checks.FULL_CHECKS)[name]()
+            assert not passed and all(p in detail for p in fragment.split(" ... ")), detail
 
 
 def test_park_instances_are_the_scalar_draws(counted_words):
