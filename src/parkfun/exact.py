@@ -424,9 +424,8 @@ def defect_distribution(n: int, m: int) -> DefectDistribution:
     _check_lot(n, m)
     lo = max(0, m - n + 1)
     # the ladder could give this tail too, 4-15 % faster at m >= n, but this
-    # call ties every exact CLI output to tail_sum: the tail_sum(k+1) row of
-    # the tests' fault table and the benchmark's off-by-one tail_sum
-    # self-test both rely on it
+    # call ties every exact CLI output to tail_sum: the CLI's TestTailSumTie
+    # and the benchmark's off-by-one tail_sum self-test both rely on it
     tails = ([n ** m] * lo + [tail_sum(n, m, lo)]
              + _abel_tails(n, m, _split(n, m)) + [0])
     counts = tuple(tails[k] - tails[k + 1] for k in range(m + 1))

@@ -67,7 +67,7 @@ def test_criterion_04_abel_identity_grid(full_check):
 
 
 def test_criterion_05_row_sums(full_check):
-    ok, detail, _ = full_check("exhaustive-oracle-full")
+    ok, detail, _ = full_check("row-sums")
     assert report(5, "row sums equal n^m", ok), detail
 
 

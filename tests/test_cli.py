@@ -300,6 +300,25 @@ class TestVerify:
                                     "1 passed, 1 failed"]
 
 
+class TestTailSumTie:
+    """Every exact CLI output passes through exact.tail_sum."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--n", "7", "--m", "9"),
+        ("dist", "--n", "9", "--m", "7"),
+        ("table", "--n", "6"),
+        ("plotdata-fig1", "--n", "20", "--m", "18"),
+        ("plotdata-fig2", "--n", "12"),
+    ])
+    def test_off_by_one_tail_sum_changes_output(self, capsys, monkeypatch, argv):
+        _, want, _ = run_cli(capsys, *argv)
+        right = exact.tail_sum
+        # off by one in k: a uniform shift would cancel in every difference
+        monkeypatch.setattr(exact, "tail_sum", lambda n, m, k: right(n, m, k + 1))
+        _, got, _ = run_cli(capsys, *argv)
+        assert got != want
+
+
 class TestPlumbing:
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         path = tmp_path / "dist.csv"

@@ -10,6 +10,7 @@ import copy
 import gc
 import itertools
 import pickle
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -172,6 +173,17 @@ def test_distribution_ladder_matches_tail_sum_differences():
             tails = [exact.tail_sum(n, m, k) for k in range(m + 2)]
             want = tuple(tails[k] - tails[k + 1] for k in range(m + 1))
             assert exact.defect_distribution(n, m).counts == want, (n, m)
+
+
+@pytest.mark.parametrize("n,m", [(330, 300), (300, 330), (10 ** 9, 80)])
+def test_distribution_ladder_matches_alternating_form(n, m):
+    counts = exact.defect_distribution(n, m).counts
+    rng = random.Random(f"ladder:{n}:{m}")
+    lo = max(0, m - n)
+    for k in {lo, lo + 1, m} | {rng.randint(lo, m) for _ in range(6)}:
+        want = (exact.tail_sum_alternating(n, m, k)
+                - exact.tail_sum_alternating(n, m, k + 1))
+        assert counts[k] == want, k
 
 
 def test_split_rule():
