@@ -36,32 +36,6 @@ from .exact import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DefectDistribution",
-    "DefectTable",
-    "EmpiricalDistribution",
-    "EnumerationCapError",
-    "ParkOutcome",
-    "abel_identity_check",
-    "cars_until_full",
-    "defect_count_explicit",
-    "defect_count_recurrence",
-    "defect_distribution",
-    "defect_ratio_limit",
-    "enumerate_exhaustive",
-    "full_lot_limit",
-    "park",
-    "park_naive",
-    "parking_function_count",
-    "pmf_approx",
-    "rayleigh_cdf",
-    "ratio_as_float",
-    "sample_empirical",
-    "tail_sum",
-    "tail_sum_alternating",
-    "tree_function",
-]
-
 # simulate needs numpy, which the exact and asymptotic routes do not, so its
 # names are loaded on first access (PEP 562)
 _SIMULATE_EXPORTS = (
@@ -74,6 +48,11 @@ _SIMULATE_EXPORTS = (
     "park_naive",
     "sample_empirical",
 )
+
+# the classes and functions imported above, and simulate's
+__all__ = sorted([name for name, obj in globals().items()
+                  if callable(obj) and not name.startswith("_")]
+                 + list(_SIMULATE_EXPORTS))
 
 
 def __getattr__(name: str):

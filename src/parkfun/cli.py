@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands (every one takes --out; all but table and verify take --format):
 
     table           defect counts cp(n, n, k) for n = 1..n_max, one row per n
     dist            full defect distribution for one (n, m)
@@ -63,46 +63,46 @@ def _na_last(template: str):
     return lambda row: short(row[:-1]) if row[-1] is None else full(row)
 
 
-def _emit(config: dict, columns: tuple[str, ...], rows: list[tuple],
-          line, fmt: str) -> str:
-    # line formats one row tuple, in column order, as one CSV line
-    if fmt == "json":
-        records = [dict(zip(columns, row)) for row in rows]
-        return json.dumps({"config": config, "records": records},
-                          sort_keys=True, indent=2) + "\n"
-    return ("# config " + json.dumps(config, sort_keys=True) + "\n"
-            + ",".join(columns) + "\n" + "".join(map(line, rows)))
+def _config(args, **resolved) -> tuple[dict, str]:
+    # every option as resolved, and its one-line echo; both outputs sort keys
+    config = {**vars(args), **resolved}
+    return config, "# config " + json.dumps(config, sort_keys=True) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
+def _write(args, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _config(args: argparse.Namespace, **extra) -> dict:
-    cfg = {"command": args.command}
-    skip = {"command", "func"}
-    for key, val in sorted(vars(args).items()):
-        if key not in skip:
-            cfg[key] = val
-    cfg.update(extra)
-    return cfg
+def _emit(args, columns, rows, line, **resolved) -> int:
+    # rows are tuples in column order; line formats one as one CSV line
+    config, echo = _config(args, **resolved)
+    if args.format == "json":
+        records = [dict(zip(columns, row)) for row in rows]
+        _write(args, json.dumps({"config": config, "records": records},
+                                sort_keys=True, indent=2) + "\n")
+    else:
+        _write(args, echo + ",".join(columns) + "\n" + "".join(map(line, rows)))
+    return EXIT_OK
+
+
+def _text(args, lines: list[str], code: int = EXIT_OK) -> int:
+    sys.stderr.write(_config(args)[1])
+    _write(args, "\n".join(lines) + "\n")
+    return code
 
 
 def cmd_table(args) -> int:
     if args.n < 1:
         raise ValueError("table needs n >= 1")
-    print("# config " + json.dumps(_config(args), sort_keys=True),
-          file=sys.stderr)
     lines = ["n " + " ".join(f"k={k}" for k in range(args.n))]
     for n in range(1, args.n + 1):
         vals = exact.defect_distribution(n, n).counts[:n]
         lines.append(f"{n} " + " ".join(str(v) for v in vals))
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _text(args, lines)
 
 
 def cmd_dist(args) -> int:
@@ -120,9 +120,8 @@ def cmd_dist(args) -> int:
     total = n ** m
     rows = [(n, m, k, str(counts[k]), exact.ratio_as_float(counts[k], total))
             for k in ks]
-    _write(_emit(_config(args), ("n", "m", "k", "count", "probability"), rows,
-                 '%d,%d,%d,"%s",%.15g\n'.__mod__, args.format), args.out)
-    return EXIT_OK
+    return _emit(args, ("n", "m", "k", "count", "probability"), rows,
+                 '%d,%d,%d,"%s",%.15g\n'.__mod__)
 
 
 def cmd_plotdata_fig1(args) -> int:
@@ -134,10 +133,8 @@ def cmd_plotdata_fig1(args) -> int:
         rows += [(n, m, k, probs[k],
                   asymptotic.pmf_approx(n, m, k) if m < n + k else None)
                  for k in range(m + 1)]
-    _write(_emit(_config(args, m=m_list),
-                 ("n", "m", "k", "exact_probability", "approx"), rows,
-                 _na_last("%d,%d,%d,%.15g"), args.format), args.out)
-    return EXIT_OK
+    return _emit(args, ("n", "m", "k", "exact_probability", "approx"), rows,
+                 _na_last("%d,%d,%d,%.15g"), m=m_list)
 
 
 def _lambda_grid(lo: float, hi: float, step: float) -> list[Fraction]:
@@ -175,10 +172,8 @@ def cmd_plotdata_fig2(args) -> int:
             else:
                 p_full = exact.ratio_as_float(full[n][m], n ** m)
             rows.append((n, lam_f, m, p_full, limit))
-    _write(_emit(_config(args, n=n_list),
-                 ("n", "lambda", "m", "exact_full_probability", "limit"), rows,
-                 "%d,%.15g,%d,%.15g,%.15g\n".__mod__, args.format), args.out)
-    return EXIT_OK
+    return _emit(args, ("n", "lambda", "m", "exact_full_probability", "limit"),
+                 rows, "%d,%.15g,%d,%.15g,%.15g\n".__mod__, n=n_list)
 
 
 def _check_words(words: int, what: str) -> None:
@@ -189,22 +184,19 @@ def _check_words(words: int, what: str) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _check_words(args.trials * args.m,
-                 f"{args.trials} trials of {args.m} drivers")
-    from . import simulate
-    emp = simulate.sample_empirical(args.n, args.m, args.trials, args.seed)
-    exact_probs = None
-    if args.m * args.n.bit_length() <= _EXACT_COLUMN_BIT_LIMIT:
-        exact_probs = exact.defect_distribution(args.n, args.m).probabilities()
     n, m, trials = args.n, args.m, args.trials
+    _check_words(trials * m, f"{trials} trials of {m} drivers")
+    from . import simulate
+    emp = simulate.sample_empirical(n, m, trials, args.seed)
+    exact_probs = None
+    if m * n.bit_length() <= _EXACT_COLUMN_BIT_LIMIT:
+        exact_probs = exact.defect_distribution(n, m).probabilities()
     rows = [(n, m, k, trials, str(c), c / trials,
              exact_probs[k] if exact_probs else None)
             for k, c in enumerate(emp.counts)]
-    _write(_emit(_config(args),
-                 ("n", "m", "k", "trials", "count", "frequency",
-                  "exact_probability"), rows,
-                 _na_last('%d,%d,%d,%d,"%s",%.15g'), args.format), args.out)
-    return EXIT_OK
+    return _emit(args, ("n", "m", "k", "trials", "count", "frequency",
+                        "exact_probability"), rows,
+                 _na_last('%d,%d,%d,%d,"%s",%.15g'))
 
 
 def cmd_coupon(args) -> int:
@@ -220,15 +212,11 @@ def cmd_coupon(args) -> int:
                  f"{args.trials} runs on {args.n} spaces")
     rows = [(args.n, i, simulate.cars_until_full(args.n, sub_seed(args.seed, i)))
             for i in range(args.trials)]
-    _write(_emit(_config(args), ("n", "run", "cars"), rows,
-                 "%d,%d,%d\n".__mod__, args.format), args.out)
-    return EXIT_OK
+    return _emit(args, ("n", "run", "cars"), rows, "%d,%d,%d\n".__mod__)
 
 
 def cmd_verify(args) -> int:
     from . import checks
-    print("# config " + json.dumps(_config(args), sort_keys=True),
-          file=sys.stderr)
     suite = checks.QUICK_CHECKS if args.level == "quick" else checks.FULL_CHECKS
     lines = []
     failed = 0
@@ -241,8 +229,7 @@ def cmd_verify(args) -> int:
         lines.append(f"PASS {name}" if passed else f"FAIL {name}: {detail}")
         failed += not passed
     lines.append(f"{len(suite) - failed} passed, {failed} failed")
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    return _text(args, lines, EXIT_VERIFY_FAILED if failed else EXIT_OK)
 
 
 @functools.cache
@@ -253,63 +240,56 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact, asymptotic and simulated counts of defective "
                     "parking functions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # --out and --format are each declared once, in a parent parser
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write to this file, not to stdout")
+    fmt = argparse.ArgumentParser(add_help=False, parents=[out])
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("table", help="defect counts cp(n,n,k) up to n_max")
+    def command(name, parent, func, about):
+        p = sub.add_parser(name, parents=[parent], help=about)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("table", out, cmd_table, "defect counts cp(n,n,k) up to n_max")
     p.add_argument("--n", type=int, default=10, help="largest n (default 10)")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("dist", help="defect distribution for one (n, m)")
+    p = command("dist", fmt, cmd_dist, "defect distribution for one (n, m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, default=None,
                    help="restrict output to a single defect value")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("plotdata-fig1",
-                       help="exact probabilities vs large-n approximation")
+    p = command("plotdata-fig1", fmt, cmd_plotdata_fig1,
+                "exact probabilities vs large-n approximation")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--m", type=int, action="append",
                    help="driver count; repeatable (default 90, 100, 110)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plotdata_fig1)
 
-    p = sub.add_parser("plotdata-fig2",
-                       help="full-lot probabilities vs the limiting curve")
+    p = command("plotdata-fig2", fmt, cmd_plotdata_fig2,
+                "full-lot probabilities vs the limiting curve")
     p.add_argument("--n", type=int, action="append",
                    help="space count; repeatable (default 10, 20)")
     p.add_argument("--lambda-min", type=float, default=0.5)
     p.add_argument("--lambda-max", type=float, default=4.0)
     p.add_argument("--lambda-step", type=float, default=0.05)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plotdata_fig2)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo defect histogram")
+    p = command("simulate", fmt, cmd_simulate,
+                "seeded Monte Carlo defect histogram")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("coupon", help="cars sent until the lot fills")
+    p = command("coupon", fmt, cmd_coupon, "cars sent until the lot fills")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=int, default=1,
                    help="independent runs; run i uses sub_seed(seed, i)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_coupon)
 
-    p = sub.add_parser("verify", help="run the cross-method invariant suites")
+    p = command("verify", out, cmd_verify,
+                "run the cross-method invariant suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -321,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return vars(args).pop("func")(args)  # the rest is the config
     except exact.BudgetError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_CAP_REFUSED

@@ -1,5 +1,6 @@
 """CLI behavior: the stdout corpus, formats, exit codes, checks against other routes."""
 
+import argparse
 import hashlib
 import json
 import runpy
@@ -319,15 +320,42 @@ class TestTailSumTie:
         assert got != want
 
 
+COMMAND_OPTIONS = {
+    "table": {"--n", "--out"},
+    "dist": {"--n", "--m", "--k", "--format", "--out"},
+    "plotdata-fig1": {"--n", "--m", "--format", "--out"},
+    "plotdata-fig2": {"--n", "--lambda-min", "--lambda-max", "--lambda-step",
+                      "--format", "--out"},
+    "simulate": {"--n", "--m", "--trials", "--seed", "--format", "--out"},
+    "coupon": {"--n", "--seed", "--trials", "--format", "--out"},
+    "verify": {"--level", "--out"},
+}
+
+
 class TestPlumbing:
+    def test_each_command_takes_its_options(self):
+        sub, = (action for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+        got = {name: {opt for action in parser._actions
+                      for opt in action.option_strings} - {"-h", "--help"}
+               for name, parser in sub.choices.items()}
+        assert got == COMMAND_OPTIONS
+
     def test_out_file_matches_stdout(self, capsys, tmp_path):
-        path = tmp_path / "dist.csv"
-        assert cli.main(["dist", "--n", "4", "--m", "4", "--out", str(path)]) == 0
-        code, out, _ = run_cli(capsys, "dist", "--n", "4", "--m", "4")
-        on_disk = path.read_text()
-        # identical payload; only the echoed out-path in the config differs
+        # every command writes the same payload to --out as to stdout; only
+        # the echoed out-path in the config line differs
         strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert strip(on_disk) == strip(out)
+        path = tmp_path / "out.txt"
+        for argv in [("table", "--n", "3"),
+                     ("dist", "--n", "4", "--m", "4"),
+                     ("plotdata-fig1", "--n", "6", "--m", "5"),
+                     ("plotdata-fig2", "--n", "3", "--lambda-max", "1.5"),
+                     ("simulate", "--n", "4", "--m", "4", "--trials", "50"),
+                     ("coupon", "--n", "5", "--trials", "2"),
+                     ("verify",)]:
+            code, out, _ = run_cli(capsys, *argv)
+            assert run_cli(capsys, *argv, "--out", str(path))[:2] == (code, "")
+            assert out and strip(path.read_text()) == strip(out), argv
 
     @pytest.mark.parametrize("argv", [("dist", "--n", "3", "--m", "2"), ("verify",)])
     def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv):
