@@ -4,15 +4,10 @@ Each check pits independent routes to the same quantity against each
 other: recurrence vs closed forms, process simulation vs counting,
 exact counts vs limit laws (ratio-limits-exact holds both fixed-defect
 limits on one set of tails, tail-limit-grid the tail limit on a grid of
-(x, y)).  A check returns (passed, detail): the miss, or for some checks
-what a pass measured.  Checks that set a limit law against exact counts
-at growing n read their misses through one helper, _order: the misses
-must strictly fall, at an end-to-end rate midway or more between a
-right limit's and a wrong one's.  figure1-order holds pmf_approx and its
-mass that way.  A rate alone passes a limit off by a little, so the
-tail and ratio checks also bound Richardson's extrapolated miss, which
-_extrapolate takes from the last two n, each within 3 times its value
-on the true code.
+(x, y), figure1-order pmf_approx on figure 1's panels).  A check returns
+(passed, detail): the miss, or for some checks what a pass measured.
+Each series of misses of a limit law at growing n is judged by one
+helper, _converges, whose docstring states the conditions.
 Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
 `verify` runs one of them, and the tests run each check by name.
 
@@ -21,10 +16,10 @@ constants in its body, and it takes no argument.  The one exception is
 check_park_implementations(instances), which the quick suite runs on
 2000 instances and the full suite on 10**4.  No test calls a check with
 arguments, so each invariant runs on one grid, through one path.  Its
-instances are the first `instances` lots of _park_instances: lot i has
-a fixed shape (n, m), swept over n <= 40, m <= 60, and its choices come
-from seed 0xC0FFEE's stream on the one modulus lcm(1..40), reduced by
-the lot's own n in numpy.
+instances are the first `instances` lots of _park_instances, drawn at
+once by rng.uniform_block: lot i has a fixed shape (n, m), swept over
+n <= 40, m <= 60, and its choices are draws of seed 0xC0FFEE's stream
+on the one modulus lcm(1..40), reduced by the lot's own n in numpy.
 
 Library functions are looked up through their modules at call time, so
 deliberately corrupting one (e.g. monkeypatching exact.tail_sum) makes
@@ -42,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotic, exact, simulate
-from .rng import SplitMix64, _Residues, sub_seed
+from .rng import SplitMix64, sub_seed, uniform_block
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +205,20 @@ def _park_instances(instances: int):
 
     Lot i has the fixed shape n = i mod 40 + 1, m = 7 * (i // 40) mod 60
     + 1; 7 is prime to 60, so lots 0..2399 hold each of the 2400 shapes
-    once.  Its m choices are the next m draws u of seed 0xC0FFEE's stream
-    on L = lcm(1..40) < 2**63, each u mod n + 1: the draws of successive
-    `SplitMix64(0xC0FFEE).uniform_int(L)` calls, less one, read 256 lots
-    at a time through one `_Residues` reader.  Each reduction is exactly
-    uniform, since every n <= 40 divides L.
+    once.  One `uniform_block(0xC0FFEE, L, total)` call on L = lcm(1..40)
+    < 2**63 draws every lot's choices in turn, and each draw d of lot i
+    becomes (d - 1) mod n + 1.  Each reduction is exactly uniform, since
+    every n <= 40 divides L.
     """
-    modulus, seed = math.lcm(*range(1, 41)), 0xC0FFEE
-    residues, word = _Residues(modulus, 60 * 256), 0
-    for first in range(0, instances, 256):
-        lots = np.arange(first, min(first + 256, instances))
-        ns, ms = lots % 40 + 1, 7 * (lots // 40) % 60 + 1
-        choices, word = residues.draws(seed, word, int(ms.sum()))
-        choices %= np.repeat(ns, ms)
-        choices += 1
-        ends = np.cumsum(ms).tolist()
-        for n, start, end in zip(ns.tolist(), [0] + ends, ends):
-            yield n, choices[start:end].tolist()
+    lots = np.arange(instances)
+    ns, ms = lots % 40 + 1, 7 * (lots // 40) % 60 + 1
+    choices = uniform_block(0xC0FFEE, math.lcm(*range(1, 41)), int(ms.sum()))
+    choices -= 1
+    choices %= np.repeat(ns, ms)
+    choices += 1
+    ends = np.cumsum(ms).tolist()
+    for n, start, end in zip(ns.tolist(), [0] + ends, ends):
+        yield n, choices[start:end].tolist()
 
 
 def check_park_implementations(instances: int = 2000):
@@ -351,20 +343,41 @@ def check_ratio_limit_values():
     return True, ""
 
 
-def _order(ns, misses):
-    """(falls, rate, detail): whether the misses strictly fall along ns, and
-    their rate log(first/last) / log(n_last/n_first); n**-a reads a."""
-    falls = all(a > b for a, b in zip(misses, misses[1:]))
-    rate = math.log(misses[0] / misses[-1]) / math.log(ns[-1] / ns[0])
-    misses = "/".join("%.3g" % e for e in misses)
-    return falls, rate, f"{misses} at n={'/'.join(map(str, ns))}, rate {rate:.2f}"
+def _converges(label, ns, errs, rate, end=math.inf, extrapolated=None):
+    """(passed, detail) for the signed misses errs of a limit at growing ns.
 
+    It passes when |e| strictly falls along ns, at an end-to-end rate
+    log(|e_first| / |e_last|) / log(n_last / n_first) of at least `rate`
+    (misses like n**-a read a), and ends at or below `end`.  Set `rate`
+    midway or more between a right limit's and a wrong one's.  A rate
+    alone passes a limit off by a little, so with extrapolated = (order,
+    size) Richardson's limit of misses closing like n**-order, from the
+    last two n,
 
-def _extrapolate(ns, misses, rate):
-    """Richardson's limit of misses that close like n**-rate, from the last
-    two: (r e(n_last) - e(n_prev)) / (r - 1), with r = (n_last/n_prev)**rate."""
-    r = (ns[-1] / ns[-2]) ** rate
-    return (r * misses[-1] - misses[-2]) / (r - 1.0)
+        (r e(n_last) - e(n_prev)) / (r - 1),  r = (n_last / n_prev)**order,
+
+    must also lie within 3 * size, size being its value on the true code.
+    A failed detail names each condition missed.
+    """
+    mags = [abs(e) for e in errs]
+    got = math.log(mags[0] / mags[-1]) / math.log(ns[-1] / ns[0])
+    detail = (f"{label} {'/'.join('%.3g' % e for e in mags)} "
+              f"at n={'/'.join(map(str, ns))}, rate {got:.2f}")
+    missed = []
+    if any(a <= b for a, b in zip(mags, mags[1:])):
+        missed.append("not strictly falling")
+    if got < rate:
+        missed.append(f"rate below {rate:g}")
+    if mags[-1] > end:
+        missed.append(f"ends above {end:g}")
+    if extrapolated:
+        order, size = extrapolated
+        r = (ns[-1] / ns[-2]) ** order
+        limit = (r * errs[-1] - errs[-2]) / (r - 1.0)
+        detail += f", extrapolated {limit:.2g}"
+        if abs(limit) > 3 * size:
+            missed.append(f"extrapolated beyond {3 * size:.2g}")
+    return (False, f"{detail}: {', '.join(missed)}") if missed else (True, detail)
 
 
 def check_figure1_order():
@@ -374,7 +387,7 @@ def check_figure1_order():
     # k = 0 atom (y < 0) sqrt(n)*P(defect = 0) tends to e|y| by Pollak's
     # formula, while pmf_approx gives 2|y|: sqrt(n)*gap tends to (e - 2)|y|.
     ns = (100, 225, 400)
-    details = []
+    verdicts = []
     for y in (-1, 0, 1):
         bulk, edge = [], []
         for n in ns:
@@ -385,24 +398,18 @@ def check_figure1_order():
             gaps = {k: abs(probs[k] - p) for k, p in approx.items()}
             edge.append(gaps.pop(0, None))
             bulk.append(max(gaps.values()))
-        falls, rate, detail = _order(ns, bulk)
-        detail = f"y={y} bulk gap {detail}"
-        if not falls or rate < 0.75 or bulk[-1] > 0.02:
-            return False, detail + ": not falling at rate >= 3/4 to <= 0.02"
+        verdicts.append(_converges(f"y={y} bulk gap", ns, bulk, 0.75, end=0.02))
         if y < 0:
-            _, rate, atom = _order(
-                ns, [abs((math.e - 2) * -y - math.sqrt(n) * g) for n, g in zip(ns, edge)])
-            detail += f"; k=0 |(e-2)|y| - sqrt(n)*gap| {atom}"
-            if rate < 0.75:
-                return False, detail + ": k=0 rate below 3/4"
+            verdicts.append(_converges(
+                f"y={y} k=0 |(e-2)|y| - sqrt(n)*gap|", ns,
+                [(math.e - 2) * -y - math.sqrt(n) * g for n, g in zip(ns, edge)], 0.75))
         if y == 0:
             # approx holds the panel n = m = 400
             total = sum(approx[k] for k in range(1, 61))
-            detail += f"; pmf_approx sums to {total:.4f} over k=1..60"
-            if abs(total - 1.0) > 0.05:
-                return False, detail + ", not within 0.05 of 1"
-        details.append(detail)
-    return True, " | ".join(details)
+            near = abs(total - 1.0) <= 0.05
+            verdicts.append((near, f"y=0 pmf_approx sums to {total:.4f} over k=1..60"
+                             + ("" if near else ", not within 0.05 of 1")))
+    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
 
 
 def check_ratio_limits_exact():
@@ -414,32 +421,20 @@ def check_ratio_limits_exact():
     import decimal
     ns = (250, 1000, 4000)
     tails = {n: [exact.tail_sum_alternating(n, n, k) for k in range(4)] for n in ns}
-    reached = []
+    verdicts = []
     for k, size in ((1, 8.9e-6), (2, 9.7e-5)):
         target = asymptotic.defect_ratio_limit(0, k)
         errs = [exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target
                 for s in tails.values()]
-        falls, rate, detail = _order(ns, [abs(e) for e in errs])
-        detail = f"ratio k={k} error {detail}"
-        if not falls or rate < 0.75 or abs(errs[-1]) > 5e-2:
-            return False, detail + ": not falling at rate >= 3/4 to <= 5e-2"
-        extrapolated = _extrapolate(ns, errs, 1)
-        detail += f", extrapolated {extrapolated:.2g}"
-        if abs(extrapolated) > 3 * size:
-            return False, detail + f" beyond {3 * size:.2g}"
-        reached.append(detail)
+        verdicts.append(_converges(f"ratio k={k} error", ns, errs, 0.75,
+                                   end=5e-2, extrapolated=(1, size)))
     for k in (1, 2, 3):
         with decimal.localcontext() as ctx:
             ctx.prec = k + 30
             target = float(asymptotic._phi_decimal(0, k))
-        falls, rate, detail = _order(
-            ns, [abs(-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target)
-                 for n in ns])
-        detail = f"phi(0,{k}) error {detail}"
-        if not falls or rate < 0.75:
-            return False, detail + ": not falling at rate >= 3/4"
-        reached.append(detail)
-    return True, "; ".join(reached)
+        errs = [-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target for n in ns]
+        verdicts.append(_converges(f"phi(0,{k}) error", ns, errs, 0.75))
+    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
 
 
 def check_tail_limit_grid():
@@ -452,7 +447,7 @@ def check_tail_limit_grid():
     measured = {(0.5, -1): 1.5e-4, (1, -1): 3.1e-5, (1.5, -1): 1.7e-6, (2, -1): 3.3e-8,
                 (0.5, 0): 1.0e-4, (1, 0): 3.5e-5, (1.5, 0): 9.9e-6, (2, 0): 1.7e-6,
                 (1.5, 1): 3.4e-5, (2, 1): 3.0e-5}
-    reached = []
+    verdicts = []
     for (x, y), size in measured.items():
         limit = asymptotic._limiting_tail(x, y)
         errs = []
@@ -461,16 +456,9 @@ def check_tail_limit_grid():
             m = n + y * r
             p = exact.ratio_as_float(exact.tail_sum_alternating(n, m, int(x * r)), n ** m)
             errs.append(p - limit)
-        falls, rate, detail = _order(ns, [abs(e) for e in errs])
-        detail = f"({x},{y}) tail error {detail}"
-        if not falls or rate < 0.25 or abs(errs[-1]) > 0.05:
-            return False, detail + ": not falling at rate >= 1/4 to <= 0.05"
-        extrapolated = _extrapolate(ns, errs, 0.5)
-        detail += f", extrapolated {extrapolated:.2g}"
-        if abs(extrapolated) > 3 * size:
-            return False, detail + f" beyond {3 * size:.2g}"
-        reached.append(detail)
-    return True, "; ".join(reached)
+        verdicts.append(_converges(f"({x},{y}) tail error", ns, errs, 0.25,
+                                   end=0.05, extrapolated=(0.5, size)))
+    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
 
 
 def check_full_lot_ordering():

@@ -22,8 +22,8 @@ per call in pure Python; it stays the reference that the one vector form
 is tested against.  That form, `_Residues`, mixes a window of words at
 once with numpy and draws on one fixed n per reader: the sampler's,
 `coupon`'s and `uniform_block`'s path.  A caller that needs several
-moduli draws on a common multiple of them and reduces each draw (the
-`park-implementations` check's instances).
+moduli makes one `uniform_block` call on a common multiple of them and
+reduces each draw (the `park-implementations` check's lots).
 
 Worker streams are derived from a master seed with
 

@@ -8,6 +8,7 @@ and deleted.  Each check runs once per session, through the
 each fault of FAULTS that it owns.
 """
 
+import dataclasses
 import functools
 import math
 import re
@@ -43,6 +44,19 @@ def _abel_middle(f):
     return tails
 
 
+def _bins_up(share):
+    # a share of each defect bin, rounded down, moves up one defect; seed=
+    # passes through as the keyword the checks give it
+    def sample(f):
+        def moved(*args, **kwargs):
+            got = f(*args, **kwargs)
+            up = [int(share * c) for c in got.counts[:-1]]
+            counts = [c - u + v for c, u, v in zip(got.counts, up + [0], [0] + up)]
+            return dataclasses.replace(got, counts=tuple(counts))
+        return moved
+    return sample
+
+
 # A fault patches the library attribute its id names.  Its owners, split by
 # "; ", are every check it fails in one FULL_CHECKS pass, as measured, with
 # fragments of the detail after ": ", and command lines whose stdout it changes.
@@ -51,18 +65,18 @@ SMALL = ("three-way-equivalence; support; pollak-consistency; diagonal-special-c
 RATIO = "ratio-limit-values; ratio-limits-exact: ratio k=1 error ... "
 FAULTS = [
     # phi +- 1 moves the ratio limits too; a scaled phi reaches only the phi half
-    *[(f"asymptotic._phi_decimal{d:+}", _plus(d), RATIO + "to <= 5e-2") for d in (1, -1)],
+    *[(f"asymptotic._phi_decimal{d:+}", _plus(d), RATIO + "ends above 0.05") for d in (1, -1)],
     *[(f"asymptotic._phi_decimal*{c}", _times(Decimal(c)), "ratio-limits-exact: phi(0,1) error "
-       "... not falling at rate >= 3/4") for c in ("1.01", "0.99")],
+       "... rate below 0.75") for c in ("1.01", "0.99")],
     # +- 1e-3, or a scaled tail limit, moves only the extrapolated limit
-    ("asymptotic.defect_ratio_limit+0.1", _plus(0.1), RATIO + "to <= 5e-2"),
+    ("asymptotic.defect_ratio_limit+0.1", _plus(0.1), RATIO + "ends above 0.05"),
     *[(f"asymptotic.defect_ratio_limit{d:+}", _plus(d), RATIO + "beyond 2.7e-05")
       for d in (1e-3, -1e-3)],
     ("asymptotic.defect_ratio_limit+1e-11", _plus(1e-11), "ratio-limit-values: (0,0) = 1.0000"),
     ("asymptotic._limiting_tail*1.01", _times(1.01), "tail-limit-grid: (0.5,-1) ... 0.00045"),
     *[(f"asymptotic._limiting_tail*{c}", _times(c), "tail-limit-grid: (0.5,0) ... 0.0003")
       for c in (1.001, 0.999)],
-    *[(f"asymptotic.pmf_approx*{c}", _times(c), "figure1-order: y=-1 ... k=0 rate below")
+    *[(f"asymptotic.pmf_approx*{c}", _times(c), "figure1-order: y=-1 k=0 ... rate below 0.75")
       for c in (1.05, 0.95)],
     ("asymptotic.pmf_approx(exponent*0.95)", lambda f: lambda n, m, k: f(n, m, k) * math.exp(
         0.1 * k * (k - m + n) / n), "figure1-order: y=0 ... not within 0.05 of 1"),
@@ -87,6 +101,8 @@ FAULTS = [
     ("exact._abel_tails+1", lambda f: lambda n, m, split: [t + 1 for t in f(n, m, split)],
      "exhaustive-oracle-small; exhaustive-oracle-full; ladder-split-agreement"),
     ("exact._abel_tails-middle+1", _abel_middle, "parkfun dist --n 150 --m 150"),
+    ("simulate.sample_empirical(3% of each bin up one)", _bins_up(0.03),
+     "monte-carlo-calibration: empirical tail at k=10 off by"),
     ("simulate.cars_until_full+2", _plus(2), "coupon-experiment: beyond the 0.1 % point 1.95"),
 ]
 
@@ -107,6 +123,21 @@ def test_fault_fails_its_owners(capsys, monkeypatch, fault, transform, owners):
         else:
             passed, detail = dict(checks.FULL_CHECKS)[name]()
             assert not passed and all(p in detail for p in fragment.split(" ... ")), detail
+
+
+@pytest.mark.parametrize("errs, bounds, missed", [
+    ((1e-2, 2.5e-3, 6.25e-4), dict(end=0.02, extrapolated=(1, 1e-6)), ""),
+    ((1e-2, 1e-2, 1e-4), {}, "not strictly falling"),
+    ((-1e-2, -8e-3, -6e-3), {}, "rate below 0.75"),
+    ((1.0, 0.25, 0.0625), dict(end=0.02), "ends above 0.02"),
+    ((1e-2, 2.5e-3, 1e-3), dict(extrapolated=(1, 1e-5)), "extrapolated beyond 3e-05"),
+], ids=["passes", "not-strictly-falling", "low-rate", "above-end", "extrapolated-beyond"])
+def test_converges_names_the_condition_missed(errs, bounds, missed):
+    # each series misses one condition of _converges, or none; at n =
+    # 100/400/1600 the four misses fall at rates 1.66, 0.18, 1 and 0.83
+    passed, detail = checks._converges("miss", (100, 400, 1600), errs, 0.75, **bounds)
+    assert passed == (not missed)
+    assert detail.partition(": ")[2] == missed, detail
 
 
 def test_park_instances_are_the_scalar_draws(counted_words):
