@@ -7,7 +7,7 @@ limits on one set of tails, tail-limit-grid the tail limit on a grid of
 (x, y), figure1-order pmf_approx on figure 1's panels).  A check returns
 (passed, detail): the miss, or for some checks what a pass measured.
 Each series of misses of a limit law at growing n is judged by one
-helper, _converges, whose docstring states the conditions.
+helper, _converges, and a check made of such series by _verdicts.
 Suites are plain lists of named checks, QUICK_CHECKS and FULL_CHECKS;
 `verify` runs one of them, and the tests run each check by name.
 
@@ -30,6 +30,7 @@ such faults, each row listing every check that it fails.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from typing import Callable
@@ -380,6 +381,18 @@ def _converges(label, ns, errs, rate, end=math.inf, extrapolated=None):
     return (False, f"{detail}: {', '.join(missed)}") if missed else (True, detail)
 
 
+def _verdicts(check):
+    """The check joining the (passed, detail) of each series `check` yields;
+    a pass reports every series, a failure only those that failed."""
+    @functools.wraps(check)
+    def judged():
+        verdicts = list(check())
+        failed = [d for p, d in verdicts if not p]
+        return not failed, "; ".join(failed or [d for _, d in verdicts])
+    return judged
+
+
+@_verdicts
 def check_figure1_order():
     # Panels m = n + y*sqrt(n): at n = 100, figure 1's m = 90, 100, 110.
     # Over the regime's k >= 1 (the bulk) the largest gap |exact - pmf_approx|
@@ -387,7 +400,6 @@ def check_figure1_order():
     # k = 0 atom (y < 0) sqrt(n)*P(defect = 0) tends to e|y| by Pollak's
     # formula, while pmf_approx gives 2|y|: sqrt(n)*gap tends to (e - 2)|y|.
     ns = (100, 225, 400)
-    verdicts = []
     for y in (-1, 0, 1):
         bulk, edge = [], []
         for n in ns:
@@ -398,20 +410,19 @@ def check_figure1_order():
             gaps = {k: abs(probs[k] - p) for k, p in approx.items()}
             edge.append(gaps.pop(0, None))
             bulk.append(max(gaps.values()))
-        verdicts.append(_converges(f"y={y} bulk gap", ns, bulk, 0.75, end=0.02))
+        yield _converges(f"y={y} bulk gap", ns, bulk, 0.75, end=0.02)
         if y < 0:
-            verdicts.append(_converges(
-                f"y={y} k=0 |(e-2)|y| - sqrt(n)*gap|", ns,
-                [(math.e - 2) * -y - math.sqrt(n) * g for n, g in zip(ns, edge)], 0.75))
+            yield _converges(f"y={y} k=0 |(e-2)|y| - sqrt(n)*gap|", ns, [
+                (math.e - 2) * -y - math.sqrt(n) * g for n, g in zip(ns, edge)], 0.75)
         if y == 0:
             # approx holds the panel n = m = 400
             total = sum(approx[k] for k in range(1, 61))
             near = abs(total - 1.0) <= 0.05
-            verdicts.append((near, f"y=0 pmf_approx sums to {total:.4f} over k=1..60"
-                             + ("" if near else ", not within 0.05 of 1")))
-    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
+            yield near, (f"y=0 pmf_approx sums to {total:.4f} over k=1..60"
+                         + ("" if near else ", not within 0.05 of 1"))
 
 
+@_verdicts
 def check_ratio_limits_exact():
     # both fixed-defect limits, from one set of exact tails S(n, n, k), k <= 3;
     # each miss closes like 1/n, and a wrong limit's not at all.  The ratio's
@@ -421,22 +432,21 @@ def check_ratio_limits_exact():
     import decimal
     ns = (250, 1000, 4000)
     tails = {n: [exact.tail_sum_alternating(n, n, k) for k in range(4)] for n in ns}
-    verdicts = []
     for k, size in ((1, 8.9e-6), (2, 9.7e-5)):
         target = asymptotic.defect_ratio_limit(0, k)
         errs = [exact.ratio_as_float(s[k] - s[k + 1], s[0] - s[1]) - target
                 for s in tails.values()]
-        verdicts.append(_converges(f"ratio k={k} error", ns, errs, 0.75,
-                                   end=5e-2, extrapolated=(1, size)))
+        yield _converges(f"ratio k={k} error", ns, errs, 0.75, end=5e-2,
+                         extrapolated=(1, size))
     for k in (1, 2, 3):
         with decimal.localcontext() as ctx:
             ctx.prec = k + 30
             target = float(asymptotic._phi_decimal(0, k))
         errs = [-n * exact.ratio_as_float(n ** n - tails[n][k], n ** n) - target for n in ns]
-        verdicts.append(_converges(f"phi(0,{k}) error", ns, errs, 0.75))
-    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
+        yield _converges(f"phi(0,{k}) error", ns, errs, 0.75)
 
 
+@_verdicts
 def check_tail_limit_grid():
     # P(defect >= x*sqrt(n)) at m = n + y*sqrt(n) against exp(-2x(x - y)),
     # at each x > y of the grid.  Each miss e(n) closes like 1/sqrt(n), and a
@@ -447,7 +457,6 @@ def check_tail_limit_grid():
     measured = {(0.5, -1): 1.5e-4, (1, -1): 3.1e-5, (1.5, -1): 1.7e-6, (2, -1): 3.3e-8,
                 (0.5, 0): 1.0e-4, (1, 0): 3.5e-5, (1.5, 0): 9.9e-6, (2, 0): 1.7e-6,
                 (1.5, 1): 3.4e-5, (2, 1): 3.0e-5}
-    verdicts = []
     for (x, y), size in measured.items():
         limit = asymptotic._limiting_tail(x, y)
         errs = []
@@ -456,9 +465,8 @@ def check_tail_limit_grid():
             m = n + y * r
             p = exact.ratio_as_float(exact.tail_sum_alternating(n, m, int(x * r)), n ** m)
             errs.append(p - limit)
-        verdicts.append(_converges(f"({x},{y}) tail error", ns, errs, 0.25,
-                                   end=0.05, extrapolated=(0.5, size)))
-    return all(p for p, _ in verdicts), "; ".join(d for _, d in verdicts)
+        yield _converges(f"({x},{y}) tail error", ns, errs, 0.25, end=0.05,
+                         extrapolated=(0.5, size))
 
 
 def check_full_lot_ordering():
