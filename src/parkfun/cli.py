@@ -22,8 +22,10 @@ stderr so their stdout stays machine-comparable.
 Exit codes: 0 success, 1 verification failure, 2 usage error or an
 --out path that cannot be written (OSError), 3 refusal (exact.BudgetError)
 of a coupon lot above COUPON_SPACE_CAP spaces, of a plotdata-fig2 lambda
-grid above _LAMBDA_GRID_CAP points, or of a simulate or coupon run that
-would draw more than _WORD_BUDGET stream words.
+grid above _LAMBDA_GRID_CAP points or with an m >= n of some n whose
+m * bitlen(n) is above _EXACT_COLUMN_BIT_LIMIT, of a simulate row above
+SAMPLE_ROW_CAP drivers, or of a simulate or coupon run that would draw
+more than _WORD_BUDGET stream words.
 """
 
 from __future__ import annotations
@@ -47,13 +49,14 @@ EXIT_CAP_REFUSED = 3
 _LAMBDA_GRID_CAP = 10 ** 5
 
 # stream words a simulate or coupon run may draw.  On a 2-core Xeon, CPU
-# min of 3: 0.9 min of simulate at 6.2 ns a word (n = m = 1000), 1.3-1.5
-# min of coupon at n = 10**5 (9.4-10.4 ns a counted word), 1.7-1.9 min at
-# 10**7 (11.6-13.1)
+# min of 3: 0.8-1.0 min of simulate at 5.6-6.8 ns a word (n = m = 1000),
+# 1.3-1.5 min of coupon at n = 10**5 (9.1-10.3 ns a counted word), 1.8-2.0
+# min at 10**7 (12.4-13.8)
 _WORD_BUDGET = 1 << 33
 
 # counts stay exact far beyond this, but probability columns need n**m;
-# beyond ~200k bits the exact column is skipped rather than stalled on
+# beyond ~200k bits simulate skips its exact column and plotdata-fig2
+# refuses the grid, rather than stall on the power
 _EXACT_COLUMN_BIT_LIMIT = 200_000
 
 
@@ -156,11 +159,15 @@ def cmd_plotdata_fig2(args) -> int:
     if min(n_list) < 1:
         raise ValueError("plotdata-fig2 needs n >= 1")
     grid = _lambda_grid(args.lambda_min, args.lambda_max, args.lambda_step)
-    # each column is one walk along its increasing m = floor(lambda * n) >= n
-    full = {}
-    for n in set(n_list):
-        ms = [m for m in dict.fromkeys(int(lam * n) for lam in grid) if m >= n]
-        full[n] = dict(zip(ms, exact._full_lot_counts(n, ms)))
+    # each column is one walk along its increasing m = floor(lambda * n) >= n;
+    # a column whose power n**m is too wide is refused before any count
+    cols = {n: [m for m in dict.fromkeys(int(lam * n) for lam in grid) if m >= n]
+            for n in dict.fromkeys(n_list)}
+    for n, ms in cols.items():
+        if ms and ms[-1] * n.bit_length() > _EXACT_COLUMN_BIT_LIMIT:
+            raise exact.BudgetError(f"n = {n}, m = {ms[-1]}: m * bitlen(n) exceeds "
+                                    f"the exact column limit {_EXACT_COLUMN_BIT_LIMIT}")
+    full = {n: dict(zip(ms, exact._full_lot_counts(n, ms))) for n, ms in cols.items()}
     rows = []
     for lam in grid:
         lam_f = float(lam)

@@ -74,6 +74,7 @@ loading numpy.
 
 from __future__ import annotations
 
+import collections
 import math
 
 
@@ -296,44 +297,32 @@ def abel_identity_check(a: int, b: int, m: int) -> bool:
     return b ** m + a * sum(_diagonal(a + b, m, b, 1, m)) == (a + b) ** m
 
 
-class DefectDistribution:
-    """Counts of sequences by defect k = 0..m for fixed (n, m); read-only.
+class _Record(tuple):
+    """Named-tuple base: a record equals only its own class's records and is not ordered."""
 
-    A plain slotted record: `import dataclasses` would load inspect, ast
-    and tokenize for it.  Two records are equal, and hash alike, when n,
-    m and counts are.
-    """
-
-    __slots__ = ("n", "m", "counts")
-
-    def __init__(self, n: int, m: int, counts: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "counts", counts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return self.n, self.m, self.counts
+    __slots__ = ()
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._key())
+    def __ne__(self, other):
+        return not self == other
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, past the read-only __setattr__
-        return self.__class__, self._key()
+    def __lt__(self, other):
+        raise TypeError(f"{self.__class__.__name__} records are not ordered")
 
-    def __repr__(self) -> str:
-        return f"DefectDistribution(n={self.n!r}, m={self.m!r}, counts={self.counts!r})"
+    __le__ = __gt__ = __ge__ = __lt__
+
+
+class DefectDistribution(_Record, collections.namedtuple("DefectDistribution", "n m counts")):
+    """Counts of sequences by defect k = 0..m for fixed (n, m); read-only.
+
+    A `_Record`, not a dataclass: `import dataclasses` would load inspect,
+    ast and tokenize; `collections` is loaded already.
+    """
+
+    __slots__ = ()
 
     @property
     def total(self) -> int:

@@ -104,9 +104,8 @@ class _Residues:
     """
 
     def __init__(self, n: int, size: int):
-        limit = ((1 << 64) // n) * n
-        # limit == 2**64 exactly when n is a power of two: nothing is rejectable.
-        self._limit = np.uint64(limit) if limit <= MASK64 else None
+        # the largest accepted word: 2**64 - 1 when n is a power of two
+        self._top = np.uint64(((1 << 64) // n) * n - 1)
         self._n = np.uint64(n)
         # steps[i] = (i + 1) * GAMMA mod 2**64
         self._steps = np.arange(1, size + 1, dtype=np.uint64)
@@ -124,10 +123,10 @@ class _Residues:
             _mix(z, self._t[:len(z)])
             word += len(z)
             # one reduction tests the window; max raises on an empty one
-            if self._limit is None or not len(z) or z.max() < self._limit:
+            if not len(z) or z.max() <= self._top:
                 break
             # close up over the rejected words; the next pass fills the tail
-            kept = z[z < self._limit]
+            kept = z[z <= self._top]
             z[:len(kept)] = kept
             done += len(kept)
         z, q = self._z[:count], self._t[:count]

@@ -53,13 +53,13 @@ so a round past car n costs its draws plus K levels, not n spaces.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .exact import BudgetError, DefectDistribution, _check_lot
+from .exact import BudgetError, DefectDistribution, _check_lot, _Record
 from .rng import _Residues, sub_seed
 
 # below 2**63, so the int64 counts of an enumeration stay exact
@@ -68,6 +68,11 @@ ENUMERATION_CAP = 10 ** 8
 # (10**7 spaces: 43 MB peak, 0.30-0.41 s CPU on a 2-core Xeon), so a
 # larger lot is refused rather than left to exhaust memory
 COUPON_SPACE_CAP = 10 ** 7
+# sample_empirical holds about 45 bytes a driver of one row, and the
+# simulate command's output about 2 KB a driver as JSON: at 2**17 drivers
+# they peak at 33 MB, and the command at 73 MB (CSV) or 278 MB (JSON), so
+# a longer row is refused rather than left to exhaust memory
+SAMPLE_ROW_CAP = 1 << 17
 SAMPLE_BLOCK_TRIALS = 4096
 CHUNK_WORDS = 1 << 16
 
@@ -76,8 +81,7 @@ class EnumerationCapError(BudgetError):
     """Raised instead of silently truncating an exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class ParkOutcome:
+class ParkOutcome(_Record, collections.namedtuple("ParkOutcome", "n assignment")):
     """Result of running the process on one preference sequence.
 
     `assignment[i]` is the space taken by driver i (1-based spaces), or
@@ -85,8 +89,7 @@ class ParkOutcome:
     read off it.
     """
 
-    n: int
-    assignment: tuple
+    __slots__ = ()
 
     @property
     def occupied(self) -> frozenset:
@@ -276,15 +279,11 @@ def enumerate_exhaustive(n: int, m: int) -> DefectDistribution:
     return DefectDistribution(n=n, m=m, counts=tuple(int(c) for c in counts))
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+class EmpiricalDistribution(_Record, collections.namedtuple(
+        "EmpiricalDistribution", "n m trials seed counts")):
     """Defect histogram over sampled trials (trial counts, not exact counts)."""
 
-    n: int
-    m: int
-    trials: int
-    seed: int
-    counts: tuple
+    __slots__ = ()
 
     def tail_frequency(self, k: int) -> float:
         """Fraction of trials with defect >= k, for k >= 0."""
@@ -302,12 +301,16 @@ def sample_empirical(n: int, m: int, trials: int, seed: int) -> EmpiricalDistrib
     Row r of a block holds draws r*m .. r*m+m-1 of the block's stream,
     rejected words skipped as by SplitMix64.uniform_int; rows are drawn
     and scored a chunk of about CHUNK_WORDS draws at a time, each chunk
-    reading on from the word where the last one stopped.
+    reading on from the word where the last one stopped.  A row of more
+    than SAMPLE_ROW_CAP drivers is refused with BudgetError before
+    anything is allocated.
     """
     if not 1 <= n <= 1 << 63:
         raise ValueError("sampling needs 1 <= n <= 2**63 spaces")
     if m < 0 or trials < 1:
         raise ValueError("need m >= 0 and trials >= 1")
+    if m > SAMPLE_ROW_CAP:
+        raise BudgetError(f"a row of {m} drivers exceeds the sample row cap {SAMPLE_ROW_CAP}")
     counts = np.zeros(m + 1, dtype=np.int64)
     if m == 0:
         counts[0] = trials

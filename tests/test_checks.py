@@ -8,7 +8,6 @@ and deleted.  Each check runs once per session, through the
 each fault of FAULTS that it owns.
 """
 
-import dataclasses
 import functools
 import math
 import re
@@ -52,7 +51,7 @@ def _bins_up(share):
             got = f(*args, **kwargs)
             up = [int(share * c) for c in got.counts[:-1]]
             counts = [c - u + v for c, u, v in zip(got.counts, up + [0], [0] + up)]
-            return dataclasses.replace(got, counts=tuple(counts))
+            return got._replace(counts=tuple(counts))
         return moved
     return sample
 

@@ -197,23 +197,43 @@ def test_split_rule():
 
 
 def test_distribution_record():
+    from parkfun import simulate
     d = exact.defect_distribution(3, 2)
     assert (d.n, d.m, d.counts, d.total) == (3, 2, (8, 1, 0), 9)
     assert d.probabilities() == [8 / 9, 1 / 9, 0.0]
-    assert repr(d) == "DefectDistribution(n=3, m=2, counts=(8, 1, 0))"
-    same = exact.DefectDistribution(n=3, m=2, counts=(8, 1, 0))
-    assert d == same and hash(d) == hash(same) == hash((3, 2, (8, 1, 0)))
     assert d != exact.DefectDistribution(3, 2, (7, 2, 0))
     assert d != exact.DefectDistribution(4, 2, (8, 1, 0))
     assert d != exact.DefectDistribution(3, 3, (8, 1, 0))
-    assert d != (3, 2, (8, 1, 0))
-    assert len({d, same}) == 1
-    for name in ("n", "m", "counts", "other"):
-        with pytest.raises(AttributeError):
-            setattr(d, name, 1)
-        with pytest.raises(AttributeError):
-            delattr(d, name)
-    assert copy.copy(d) == pickle.loads(pickle.dumps(d)) == d
+    emp = simulate.EmpiricalDistribution(n=3, m=2, trials=9, seed=1, counts=(8, 1, 0))
+    assert emp.tail_frequency(1) == 1 / 9
+    out = simulate.park(3, [2, 2, 3])
+    assert (out.occupied, out.defect) == (frozenset({2, 3}), 1)
+    # every result record is a _Record: equal only within its own class
+    records = [
+        (d, exact.DefectDistribution(n=3, m=2, counts=(8, 1, 0)),
+         "DefectDistribution(n=3, m=2, counts=(8, 1, 0))"),
+        (emp, simulate.EmpiricalDistribution(3, 2, 9, 1, (8, 1, 0)),
+         "EmpiricalDistribution(n=3, m=2, trials=9, seed=1, counts=(8, 1, 0))"),
+        (out, simulate.ParkOutcome(n=3, assignment=(2, 3, None)),
+         "ParkOutcome(n=3, assignment=(2, 3, None))"),
+    ]
+    for rec, same, text in records:
+        fields = tuple(rec)
+        assert isinstance(rec, exact._Record) and repr(rec) == text
+        assert rec == same and hash(rec) == hash(same) == hash(fields)
+        assert len({rec, same}) == 1
+        sub = type("Sub", (type(rec),), {"__slots__": ()})(*fields)
+        for other in (fields, sub, *(r for r, _, _ in records if r is not rec)):
+            assert rec != other and other != rec and not rec == other
+        for name in (*rec._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+        for order in (lambda: rec < same, lambda: same >= rec, lambda: fields < rec):
+            with pytest.raises(TypeError):
+                order()
+        assert copy.copy(rec) == pickle.loads(pickle.dumps(rec)) == rec
 
 
 def test_distribution_budget_at_n_m_1000():

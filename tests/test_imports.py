@@ -55,6 +55,12 @@ def test_import_leaves_dataclasses_out():
                       "print(sorted({'dataclasses', 'decimal'} & set(sys.modules)))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    # nor do the numpy modules and the CLI, whose records are named tuples
+    # too; the CLI's fractions loads decimal, so only dataclasses is asserted
+    proc = run_python("-c", "import sys, parkfun.simulate, parkfun.checks, parkfun.cli; "
+                      "print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_first_simulation_lookup_binds_every_export():

@@ -1,9 +1,11 @@
 """The random stream must be reproducible bit-for-bit, forever."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from parkfun.rng import SplitMix64, _Residues, mix64, sub_seed, uniform_block
+from parkfun.rng import GAMMA, SplitMix64, _Residues, mix64, sub_seed, uniform_block
 
 # SplitMix64 outputs for seed 1234567, as published for the reference
 # implementation (e.g. the rand crate's splitmix64 test vector).
@@ -84,6 +86,22 @@ def test_residue_windows_match_scalar_draws(counted_words, n):
         assert draws.dtype == np.int64
         assert draws.tolist() == want
         assert word == gen.words
+
+
+def test_window_keeps_the_largest_accepted_word_past_a_rejected_one():
+    # A seed whose word 1 is an odd v above 2**65 / 3 and whose word 0 is
+    # above v: at n = (v + 1) / 2, 2**64 div n is 2, so v = 2n - 1 is the
+    # largest accepted word.  The window drops word 0 and keeps word 1.
+    for seed in itertools.count():
+        first, v = mix64(seed + GAMMA), mix64(seed + 2 * GAMMA)
+        if v % 2 and first > v > (1 << 65) // 3:
+            break
+    n = (v + 1) // 2
+    assert (1 << 64) // n * n - 1 == v
+    gen = SplitMix64(seed)
+    want = [gen.uniform_int(n) - 1 for _ in range(4)]
+    draws, _ = _Residues(n, 4).draws(seed, 0, 4)
+    assert draws.tolist() == want and want[0] == v % n
 
 
 def test_sub_seed_properties():

@@ -376,6 +376,17 @@ def test_sample_rows_are_int32_past_two_to_the_15_drivers(m, monkeypatch):
     assert got.counts == tuple(want[k] for k in range(m + 1))
 
 
+def test_sample_empirical_runs_a_row_at_the_cap(monkeypatch):
+    # the cap refuses only rows longer than itself, before any buffer is made
+    case = next(c for c in SAMPLE_GOLDEN if (c["n"], c["m"]) == (16, 20))
+    monkeypatch.setattr(simulate, "SAMPLE_ROW_CAP", 20)
+    emp = simulate.sample_empirical(16, 20, case["trials"], case["seed"])
+    assert list(emp.counts) == case["counts"] + [0] * (21 - len(case["counts"]))
+    monkeypatch.setattr(simulate, "_Residues", None)
+    with pytest.raises(simulate.BudgetError, match="row of 21 drivers"):
+        simulate.sample_empirical(16, 21, 1, 1)
+
+
 @pytest.mark.parametrize("n", [1 << 31, (1 << 31) + 1])
 def test_sample_rows_are_int32_up_to_two_to_the_31(n, monkeypatch):
     # 2**31 - 1, the top space at n = 2**31, is int32's largest value
